@@ -61,10 +61,13 @@ class Dataset:
         return Dataset(self.images[indices], self.labels[indices], self.num_classes)
 
 
-def _planes_to_images(pixel_bytes: np.ndarray, n: int) -> np.ndarray:
-    """(n*3072,) uint8 channel-planar bytes -> (n, 32, 32, 3) floats."""
-    planes = pixel_bytes.reshape(n, 3, 32, 32)
-    return planes.transpose(0, 2, 3, 1).astype(np.float64) / 255.0
+def _planes_to_images(pixel_bytes: np.ndarray) -> np.ndarray:
+    """uint8 channel-planar bytes, 3072 per image -> (n, 32, 32, 3) floats,
+    converted once and scaled in place so only one float copy exists."""
+    planes = pixel_bytes.reshape(-1, 3, 32, 32)
+    images = planes.transpose(0, 2, 3, 1).astype(np.float64)
+    images /= 255.0
+    return images
 
 
 def load_cifar10(paths) -> Dataset:
@@ -72,7 +75,7 @@ def load_cifar10(paths) -> Dataset:
     dataset, preserving record order across files."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
-    images, labels = [], []
+    batches = []
     for path in paths:
         raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
         remainder = raw.size % RECORD_BYTES
@@ -89,9 +92,14 @@ def load_cifar10(paths) -> Dataset:
             raise FormatError(
                 f"{path}: label byte {batch_labels[bad[0]]} > 9 in record {bad[0]}",
                 record=int(bad[0]))
-        images.append(_planes_to_images(records[:, 1:].reshape(-1), records.shape[0]))
-        labels.append(batch_labels.astype(np.int64))
-    return Dataset(np.concatenate(images), np.concatenate(labels), num_classes=10)
+        batches.append(records)
+    # Join the bytes of every file and drop the per-file buffers, then
+    # convert once: converting per file would hold each file's floats and
+    # their concatenation together.
+    records = np.concatenate(batches)
+    del batches
+    return Dataset(_planes_to_images(records[:, 1:]), records[:, 0].astype(np.int64),
+                   num_classes=10)
 
 
 def load_raw(image_path, label_path, n: int, num_classes: int = 10) -> Dataset:
@@ -113,7 +121,7 @@ def load_raw(image_path, label_path, n: int, num_classes: int = 10) -> Dataset:
         raise FormatError(
             f"{label_path}: label {labels[bad[0]]} >= {num_classes} "
             f"in record {bad[0]}", record=int(bad[0]))
-    images = _planes_to_images(np.frombuffer(image_bytes, dtype=np.uint8), n)
+    images = _planes_to_images(np.frombuffer(image_bytes, dtype=np.uint8))
     return Dataset(images, labels, num_classes=num_classes)
 
 

@@ -13,7 +13,8 @@ enables:
                            equal L: only the map count differs.
     overview-grid          both variants over the full grid.
 
-Each cell is an independent, seeded training run; failures are recorded
+Each cell is an independent, seeded training run, so cells run in
+parallel worker processes; failures on bad input or numerics are recorded
 per cell and do not stop the sweep.
 """
 
@@ -22,11 +23,13 @@ from __future__ import annotations
 import io
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 from .counting import match_pairs, param_count
 from .data import Dataset
+from .errors import ReconvError
 from .model import ArchConfig, error_rate
 from .train import TrainConfig, train
 
@@ -110,42 +113,97 @@ def _cell_descriptors(spec: ExperimentSpec) -> list[tuple[bool, int, int]]:
     return unique
 
 
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _conv_macs(m: int, l: int) -> int:
+    """Multiply-adds of the convolutions of one forward pass, the bulk of
+    a cell's training work, tied or not."""
+    a = ArchConfig(feature_maps=m, layers=l)
+    stem = a.input_h * a.input_w * a.first_kernel ** 2 * a.input_channels * m
+    hidden = a.pooled_h * a.pooled_w * a.hidden_kernel ** 2 * m * m * l
+    return stem + hidden
+
+
+def _run_cell(task: tuple[bool, int, int, int], spec: ExperimentSpec,
+              train_data: Dataset, test_data: Dataset) -> CellResult:
+    """Train one (tied, M, L, seed) cell. Bad input or numerics are
+    recorded as a failed cell; any other exception is a bug and raises."""
+    tied, m, l, seed = task
+    arch = ArchConfig(feature_maps=m, layers=l, tied=tied)
+    count = param_count(arch)
+    start = time.perf_counter()
+    try:
+        result = train(arch, train_data, test_data, spec.train, seed)
+    except (ReconvError, ArithmeticError) as exc:
+        return CellResult(
+            kind=spec.kind, tied=tied, feature_maps=m, layers=l,
+            param_count=count, train_error=math.nan, test_error=math.nan,
+            seed=seed, epochs=spec.train.epochs,
+            seconds=time.perf_counter() - start, error=str(exc))
+    if result.records:
+        train_err = result.records[-1].train_error
+        test_err = result.records[-1].test_error
+    else:
+        # 0-epoch cells report the untrained model's error
+        train_err = error_rate(result.params, train_data)
+        test_err = error_rate(result.params, test_data)
+    return CellResult(
+        kind=spec.kind, tied=tied, feature_maps=m, layers=l,
+        param_count=count, train_error=train_err, test_error=test_err,
+        seed=seed, epochs=spec.train.epochs,
+        seconds=time.perf_counter() - start)
+
+
+# (spec, train_data, test_data) of the sweep a pool worker serves, set in
+# each worker by _start_worker. Under the fork start method initializer
+# arguments are inherited rather than pickled, so the datasets never cross
+# a process boundary; only task tuples and CellResults do.
+_worker_sweep: tuple = ()
+
+
+def _start_worker(*sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _run_worker_cell(task: tuple[bool, int, int, int]) -> CellResult:
+    return _run_cell(task, *_worker_sweep)
+
+
 def run_experiment(spec: ExperimentSpec, train_data: Dataset,
                    test_data: Dataset) -> ExperimentResult:
     """Train every cell of ``spec`` with every seed.
 
-    A failing cell (numeric blowup, shape mismatch) is recorded with its
-    message and NaN errors; the sweep continues. Records come back
-    canonically sorted by (kind, M, L, tied, seed) regardless of execution
-    order.
+    Each (cell, seed) pair is one task. The tasks run on
+    min(available cores, tasks) forked worker processes, or in this
+    process when that is one or the platform cannot fork; every cell is
+    seeded, so the results are the same either way. A cell that fails on
+    its input or numerics (shape mismatch, numeric blowup) is recorded
+    with its message and NaN errors and the sweep continues; any other
+    exception propagates. Records come back canonically sorted by
+    (kind, M, L, tied, seed) regardless of execution order.
     """
-    cells = []
-    for tied, m, l in _cell_descriptors(spec):
-        arch = ArchConfig(feature_maps=m, layers=l, tied=tied)
-        count = param_count(arch)
-        for seed in spec.seeds:
-            start = time.perf_counter()
-            try:
-                result = train(arch, train_data, test_data, spec.train, seed)
-            except Exception as exc:
-                cells.append(CellResult(
-                    kind=spec.kind, tied=tied, feature_maps=m, layers=l,
-                    param_count=count, train_error=math.nan, test_error=math.nan,
-                    seed=seed, epochs=spec.train.epochs,
-                    seconds=time.perf_counter() - start, error=str(exc)))
-                continue
-            if result.records:
-                train_err = result.records[-1].train_error
-                test_err = result.records[-1].test_error
-            else:
-                # 0-epoch cells report the untrained model's error
-                train_err = error_rate(result.params, train_data)
-                test_err = error_rate(result.params, test_data)
-            cells.append(CellResult(
-                kind=spec.kind, tied=tied, feature_maps=m, layers=l,
-                param_count=count, train_error=train_err, test_error=test_err,
-                seed=seed, epochs=spec.train.epochs,
-                seconds=time.perf_counter() - start))
+    import multiprocessing   # here, not at module top: its import is slow
+
+    tasks = [(tied, m, l, seed) for tied, m, l in _cell_descriptors(spec)
+             for seed in spec.seeds]
+    # Largest cells first, so that no long cell starts last while the
+    # other workers sit idle.
+    tasks.sort(key=lambda task: _conv_macs(task[1], task[2]), reverse=True)
+    workers = min(_available_cores(), len(tasks))
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        cells = [_run_cell(task, spec, train_data, test_data) for task in tasks]
+    else:
+        # fork, not spawn: spawned workers would need the datasets pickled
+        context = multiprocessing.get_context("fork")
+        with context.Pool(workers, initializer=_start_worker,
+                          initargs=(spec, train_data, test_data)) as pool:
+            cells = pool.map(_run_worker_cell, tasks, chunksize=1)
     cells.sort(key=lambda c: (c.kind, c.feature_maps, c.layers, c.tied, c.seed))
     return ExperimentResult(spec=spec, cells=cells)
 

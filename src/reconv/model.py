@@ -211,7 +211,15 @@ def forward(params: Params, image: np.ndarray) -> Tape:
 def nll(params: Params, image: np.ndarray, label: int) -> float:
     """Negative log-likelihood of the true class for one example."""
     _check_label(params.config, label)
-    return float(-np.log(forward(params, image).probs[label]))
+    return _nll(forward(params, image).logits, label)
+
+
+def _nll(logits: np.ndarray, label: int) -> float:
+    """-log softmax(logits)[label] as logsumexp(logits) - logits[label],
+    which stays finite when the softmax underflows to 0 at a large logit
+    gap."""
+    shifted = logits - np.max(logits)
+    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
 
 
 def _check_label(cfg: ArchConfig, label: int) -> None:
@@ -222,7 +230,7 @@ def _check_label(cfg: ArchConfig, label: int) -> None:
 def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> float:
     """Accumulate one example's gradients into ``grads``; returns its loss."""
     cfg = params.config
-    loss = float(-np.log(tape.probs[label]))
+    loss = _nll(tape.logits, label)
 
     # Softmax + NLL fuse to probs - onehot(label).
     dlogits = tape.probs.copy()

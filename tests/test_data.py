@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -83,6 +85,28 @@ def test_load_cifar10_concatenates_batches(tmp_path):
     b.write_bytes(cifar_record(2) + cifar_record(3))
     data = load_cifar10([a, b])
     npt.assert_array_equal(data.labels, [1, 2, 3])
+
+
+def test_load_cifar10_holds_the_dataset_once(tmp_path):
+    rng = np.random.default_rng(0)
+    paths, blobs = [], []
+    for k in range(4):
+        records = rng.integers(0, 256, size=(256, RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] %= 10
+        paths.append(tmp_path / f"batch{k}.bin")
+        paths[-1].write_bytes(records.tobytes())
+        blobs.append(records)
+    tracemalloc.start()
+    try:
+        data = load_cifar10(paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * data.images.nbytes
+    records = np.concatenate(blobs)
+    planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+    npt.assert_array_equal(data.images, planes / 255)
+    npt.assert_array_equal(data.labels, records[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from reconv import (ArchConfig, ExperimentSpec, TrainConfig, contours_csv,
-                    emit_contours, error_rate, init_params, make_synthetic,
-                    param_count, results_csv, run_experiment)
+from reconv import (ArchConfig, CellResult, ExperimentResult, ExperimentSpec,
+                    TrainConfig, contours_csv, emit_contours, error_rate,
+                    init_params, make_synthetic, param_count, results_csv,
+                    run_experiment, train)
 from reconv.experiments import _cell_descriptors
 
 
@@ -98,6 +99,31 @@ def test_failed_cells_recorded_and_run_continues():
     assert len(result.cells) == 2
     assert all(c.error for c in result.cells)
     assert all(math.isnan(c.train_error) for c in result.cells)
+
+
+def test_parallel_cells_equal_serial_training():
+    s = spec("overview-grid", [3, 2], [2, 1], epochs=1, seeds=(1, 0))
+    train_data, test_data = tiny_data(4), tiny_data(2, 1)
+    expected = []
+    for tied, m, l in _cell_descriptors(s):
+        arch = ArchConfig(feature_maps=m, layers=l, tied=tied)
+        for seed in s.seeds:
+            last = train(arch, train_data, test_data, s.train, seed).records[-1]
+            expected.append(CellResult(
+                kind=s.kind, tied=tied, feature_maps=m, layers=l,
+                param_count=param_count(arch), train_error=last.train_error,
+                test_error=last.test_error, seed=seed, epochs=1))
+    expected.sort(key=lambda c: (c.kind, c.feature_maps, c.layers, c.tied, c.seed))
+    result = run_experiment(s, train_data, test_data)
+    assert result.cells == expected
+    assert results_csv(result) == results_csv(ExperimentResult(s, expected))
+
+
+def test_programming_error_raises_instead_of_failing_the_cell():
+    s = spec("layers-tied", [2], [1, 2], epochs=1)
+    s.train.learning_rate = "0.001"   # a bug, not bad input or numerics
+    with pytest.raises(TypeError):
+        run_experiment(s, tiny_data(4), tiny_data(2, 1))
 
 
 def test_results_csv_layout():

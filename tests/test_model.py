@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from reconv import (ArchConfig, Dataset, ShapeError, error_rate, forward,
-                    init_params, loss_and_grads, nll, predict_class, untie,
-                    zeros_like_params)
+                    init_params, loss_and_grads, make_synthetic, nll,
+                    predict_class, untie, zeros_like_params)
 from reconv import ops
 
 
@@ -129,6 +129,18 @@ def test_initial_loss_is_log_k():
     params = init_params(cfg, seed=0)
     loss, _ = loss_and_grads(params, random_image(cfg), 7)
     assert loss == pytest.approx(np.log(10.0), abs=1e-12)
+
+
+def test_loss_finite_when_softmax_saturates():
+    # a logit gap of 800 underflows probs[label] to exactly 0
+    params = init_params(ArchConfig(4, 1, True), 0)
+    params.classifier_bias[0] = 800.0
+    image = make_synthetic(1, seed=0).images[0]
+    assert forward(params, image).probs[1] == 0.0
+    assert nll(params, image, 1) == pytest.approx(800.0, rel=1e-12)
+    loss, grads = loss_and_grads(params, image, 1)
+    assert loss == nll(params, image, 1)
+    assert all(np.isfinite(g).all() for _, g in grads.tensors())
 
 
 def test_initial_classifier_bias_gradient_is_analytic():

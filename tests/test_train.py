@@ -136,7 +136,8 @@ def test_partial_final_minibatch_is_processed():
 def test_nonfinite_loss_aborts_with_batch_diagnostic():
     arch = small_arch(feature_maps=4, layers=2)
     data = make_synthetic(8, seed=0)
-    cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e25)
+    # large enough that the weights overflow; a merely huge loss is finite
+    cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e100)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
             train(arch, data, data, cfg, seed=0)
