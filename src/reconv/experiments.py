@@ -23,7 +23,6 @@ from __future__ import annotations
 import io
 import csv
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from .counting import match_pairs, param_count
 from .data import Dataset
 from .errors import ReconvError
 from .model import ArchConfig, error_rate
+from .pool import fork_pool, shared, worker_count
 from .train import TrainConfig, train
 
 KINDS = ("overview-grid", "layers-tied", "params-layers-untied",
@@ -113,13 +113,6 @@ def _cell_descriptors(spec: ExperimentSpec) -> list[tuple[bool, int, int]]:
     return unique
 
 
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:     # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _conv_macs(m: int, l: int) -> int:
     """Multiply-adds of the convolutions of one forward pass, the bulk of
     a cell's training work, tied or not."""
@@ -159,20 +152,10 @@ def _run_cell(task: tuple[bool, int, int, int], spec: ExperimentSpec,
         seconds=time.perf_counter() - start)
 
 
-# (spec, train_data, test_data) of the sweep a pool worker serves, set in
-# each worker by _start_worker. Under the fork start method initializer
-# arguments are inherited rather than pickled, so the datasets never cross
-# a process boundary; only task tuples and CellResults do.
-_worker_sweep: tuple = ()
-
-
-def _start_worker(*sweep) -> None:
-    global _worker_sweep
-    _worker_sweep = sweep
-
-
 def _run_worker_cell(task: tuple[bool, int, int, int]) -> CellResult:
-    return _run_cell(task, *_worker_sweep)
+    """_run_cell in a pool worker, which inherited (spec, train_data,
+    test_data); only task tuples and CellResults cross processes."""
+    return _run_cell(task, *shared())
 
 
 def run_experiment(spec: ExperimentSpec, train_data: Dataset,
@@ -180,30 +163,26 @@ def run_experiment(spec: ExperimentSpec, train_data: Dataset,
     """Train every cell of ``spec`` with every seed.
 
     Each (cell, seed) pair is one task. The tasks run on
-    min(available cores, tasks) forked worker processes, or in this
-    process when that is one or the platform cannot fork; every cell is
-    seeded, so the results are the same either way. A cell that fails on
-    its input or numerics (shape mismatch, numeric blowup) is recorded
-    with its message and NaN errors and the sweep continues; any other
-    exception propagates. Records come back canonically sorted by
-    (kind, M, L, tied, seed) regardless of execution order.
+    ``pool.worker_count(tasks)`` forked worker processes, or in this
+    process when that is one; every cell is seeded, so the results are
+    the same either way. A cell that fails on its input or numerics
+    (shape mismatch, numeric blowup) is recorded with its message and NaN
+    errors and the sweep continues; any other exception propagates, and a
+    worker process that dies raises ``BrokenProcessPool``. Records come
+    back canonically sorted by (kind, M, L, tied, seed) regardless of
+    execution order.
     """
-    import multiprocessing   # here, not at module top: its import is slow
-
     tasks = [(tied, m, l, seed) for tied, m, l in _cell_descriptors(spec)
              for seed in spec.seeds]
     # Largest cells first, so that no long cell starts last while the
     # other workers sit idle.
     tasks.sort(key=lambda task: _conv_macs(task[1], task[2]), reverse=True)
-    workers = min(_available_cores(), len(tasks))
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    workers = worker_count(len(tasks))
+    if workers == 1:
         cells = [_run_cell(task, spec, train_data, test_data) for task in tasks]
     else:
-        # fork, not spawn: spawned workers would need the datasets pickled
-        context = multiprocessing.get_context("fork")
-        with context.Pool(workers, initializer=_start_worker,
-                          initargs=(spec, train_data, test_data)) as pool:
-            cells = pool.map(_run_worker_cell, tasks, chunksize=1)
+        with fork_pool(workers, spec, train_data, test_data) as pool:
+            cells = list(pool.map(_run_worker_cell, tasks))
     cells.sort(key=lambda c: (c.kind, c.feature_maps, c.layers, c.tied, c.seed))
     return ExperimentResult(spec=spec, cells=cells)
 

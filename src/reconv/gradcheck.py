@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .model import ArchConfig, Params, forward, init_params, loss_and_grads, untie
+from .model import ArchConfig, Params, _nll, forward, init_params, loss_and_grads, untie
 
 REL_ERR_FLOOR = 1e-8
 
@@ -165,8 +165,8 @@ def check_model_grads(config: ArchConfig, seed: int, tol: float = 1e-4,
             if not _same_signature(_kink_signature(tape_p), _kink_signature(tape_m)):
                 skipped += 1
                 continue
-            fp = -math.log(tape_p.probs[label])
-            fm = -math.log(tape_m.probs[label])
+            fp = _nll(tape_p.logits, label)
+            fm = _nll(tape_m.logits, label)
             estimate = (fp - fm) / (2.0 * eps)
             max_err = max(max_err, relative_error(estimate, gflat[i]))
         checks.append(TensorCheck(name=name, max_rel_err=max_err,

@@ -218,8 +218,8 @@ def _nll(logits: np.ndarray, label: int) -> float:
     """-log softmax(logits)[label] as logsumexp(logits) - logits[label],
     which stays finite when the softmax underflows to 0 at a large logit
     gap."""
-    shifted = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
+    shifted = logits - logits.max()
+    return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
 def _check_label(cfg: ArchConfig, label: int) -> None:
@@ -227,45 +227,63 @@ def _check_label(cfg: ArchConfig, label: int) -> None:
         raise ShapeError(f"label {label} outside [0, {cfg.classes})")
 
 
-def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> float:
-    """Accumulate one example's gradients into ``grads``; returns its loss."""
+# Slots of the tensors in Params.tensors() order: stem kernel and bias,
+# then a (kernel, bias) pair per stored hidden copy, then the classifier.
+_FIRST_KERNELS, _FIRST_BIAS, _CLASSIFIER, _CLASSIFIER_BIAS = 0, 1, -2, -1
+
+
+def _hidden_slots(copy: int) -> tuple[int, int]:
+    """Slots of one hidden copy's kernel and bias."""
+    return 2 + 2 * copy, 3 + 2 * copy
+
+
+def _gradient_terms(params: Params, tape: Tape,
+                    label: int) -> Iterator[tuple[int, np.ndarray]]:
+    """One example's gradient terms as (slot, term) pairs, slot indexing
+    ``Params.tensors()``, in the order ``_backward_into`` adds them. A
+    tied kernel and bias get one term per application."""
     cfg = params.config
-    loss = _nll(tape.logits, label)
 
     # Softmax + NLL fuse to probs - onehot(label).
     dlogits = tape.probs.copy()
     dlogits[label] -= 1.0
 
-    grads.classifier_bias += dlogits
-    grads.classifier += tape.normalized[:, :, :, None] * dlogits
+    yield _CLASSIFIER_BIAS, dlogits
+    yield _CLASSIFIER, tape.normalized[:, :, :, None] * dlogits
     dnorm = np.tensordot(params.classifier, dlogits, axes=([3], [0]))
     dz = ops.l2norm_pixel_grad(dnorm, tape.hidden[-1])
 
     for layer in reversed(range(cfg.layers)):
         i = params.kernel_index(layer)
+        kernel_slot, bias_slot = _hidden_slots(i)
         da = ops.relu_grad(dz, tape.hidden[layer + 1])
-        grads.hidden_biases[i] += da.sum(axis=(0, 1))
-        grads.hidden_kernels[i] += ops.conv2d_same_kernel_grad(
+        yield bias_slot, da.sum(axis=(0, 1))
+        yield kernel_slot, ops.conv2d_same_kernel_grad(
             tape.hidden[layer], da, (cfg.hidden_kernel, cfg.hidden_kernel))
         dz = ops.conv2d_same_input_grad(da, params.hidden_kernels[i])
 
     dpre = ops.maxpool_grad(dz, tape.pool_argmax, cfg.pool)
     da0 = ops.relu_grad(dpre, tape.pre_pool)
-    grads.first_bias += da0.sum(axis=(0, 1))
-    grads.first_kernels += ops.conv2d_same_kernel_grad(
+    yield _FIRST_BIAS, da0.sum(axis=(0, 1))
+    yield _FIRST_KERNELS, ops.conv2d_same_kernel_grad(
         tape.image, da0, (cfg.first_kernel, cfg.first_kernel))
     # The gradient w.r.t. the image itself is never needed.
-    return loss
 
 
-def loss_and_grads(params: Params, images: np.ndarray,
-                   labels) -> tuple[float, Params]:
-    """Summed NLL loss and gradients for one example or a minibatch.
+def _add_terms(grads: Params, terms) -> None:
+    slots = [g for _, g in grads.tensors()]
+    for slot, term in terms:
+        slots[slot] += term
 
-    ``images`` may be a single (H, W, C) image with an integer label or an
-    (N, H, W, C) stack with N labels. Losses and gradients are summed over
-    examples in index order, matching the summed-gradient update rule.
-    """
+
+def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> float:
+    """Accumulate one example's gradients into ``grads``; returns its loss."""
+    _add_terms(grads, _gradient_terms(params, tape, label))
+    return _nll(tape.logits, label)
+
+
+def _as_batch(params: Params, images, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(N, H, W, C) images and N labels from one example or a stack."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
@@ -277,7 +295,18 @@ def loss_and_grads(params: Params, images: np.ndarray,
             f"{images.shape[0]} images but {labels.shape[0]} labels")
     for label in labels:
         _check_label(params.config, int(label))
+    return images, labels
 
+
+def loss_and_grads(params: Params, images: np.ndarray,
+                   labels) -> tuple[float, Params]:
+    """Summed NLL loss and gradients for one example or a minibatch.
+
+    ``images`` may be a single (H, W, C) image with an integer label or an
+    (N, H, W, C) stack with N labels. Losses and gradients are summed over
+    examples in index order, matching the summed-gradient update rule.
+    """
+    images, labels = _as_batch(params, images, labels)
     grads = zeros_like_params(params)
     total = 0.0
     for i in range(images.shape[0]):
@@ -286,9 +315,46 @@ def loss_and_grads(params: Params, images: np.ndarray,
     return total, grads
 
 
+ExampleTerms = tuple[float, list[tuple[int, np.ndarray]]]
+
+
+def loss_terms(params: Params, images: np.ndarray, labels) -> list[ExampleTerms]:
+    """Each example's loss and gradient terms, unsummed, in index order,
+    for the arguments of ``loss_and_grads``.
+
+    ``add_loss_terms`` adds them onto ``loss_and_grads`` of the examples
+    just before these with the very floating-point additions that one
+    ``loss_and_grads`` call over all of them makes, so a minibatch split
+    into contiguous chunks sums bit for bit as one.
+    """
+    images, labels = _as_batch(params, images, labels)
+    examples = []
+    for i in range(images.shape[0]):
+        tape = forward(params, images[i])
+        label = int(labels[i])
+        examples.append((_nll(tape.logits, label),
+                         list(_gradient_terms(params, tape, label))))
+    return examples
+
+
+def add_loss_terms(total: float, grads: Params, examples: list[ExampleTerms]) -> float:
+    """Add ``loss_terms`` output onto a running loss total, returned, and
+    onto ``grads`` in place, example by example."""
+    for loss, terms in examples:
+        _add_terms(grads, terms)
+        total += loss
+    return total
+
+
 def predict_class(params: Params, image: np.ndarray) -> int:
     """Most probable class; argmax ties break to the lowest index."""
     return int(np.argmax(forward(params, image).probs))
+
+
+def count_errors(params: Params, images: np.ndarray, labels: np.ndarray) -> int:
+    """Number of examples whose predicted class differs from the label."""
+    return sum(predict_class(params, image) != int(label)
+               for image, label in zip(images, labels))
 
 
 def error_rate(params: Params, data) -> float:
@@ -296,8 +362,4 @@ def error_rate(params: Params, data) -> float:
     n = len(data.images)
     if n == 0:
         raise ShapeError("error_rate needs a nonempty dataset")
-    wrong = 0
-    for i in range(n):
-        if predict_class(params, data.images[i]) != int(data.labels[i]):
-            wrong += 1
-    return wrong / n
+    return count_errors(params, data.images, data.labels) / n

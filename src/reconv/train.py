@@ -10,6 +10,19 @@ step size scales with batch size. Runs are fully deterministic given
 (arch, data, config, seed): initialization is seeded, shuffling is keyed
 by (shuffle_seed, epoch), and per-example gradients reduce in example
 index order.
+
+One ``train`` call uses every available core (``pool.worker_count``):
+it forks one helper process per core beyond the first for the length of
+the call. Each minibatch is cut into one contiguous chunk per process.
+This process takes the first chunk, whose ``loss_and_grads`` are exactly
+the partial sums the serial loop holds after those examples. Every later
+chunk comes back from its helper as ``model.loss_terms``, each example's
+loss and gradient terms unsummed, and this process adds them onto the
+partial sums one example at a time, in index order. Every floating-point
+addition thus happens in the serial loop's order, and records and
+parameters are bit for bit the same whatever the number of cores.
+Evaluations are split the same way and add integer error counts. A
+minibatch with fewer examples than processes runs here alone.
 """
 
 from __future__ import annotations
@@ -18,11 +31,16 @@ import io
 import csv
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .data import Dataset, minibatches
 from .errors import NumericError, ShapeError
-from .model import ArchConfig, Params, error_rate, init_params, loss_and_grads, zeros_like_params
+from .model import (ArchConfig, Params, add_loss_terms, count_errors, error_rate,
+                    init_params, loss_and_grads, loss_terms, zeros_like_params)
+from .pool import fork_pool, shared, worker_count
 
 
 @dataclass
@@ -96,13 +114,60 @@ def sgd_momentum_step(params: Params, grads: Params, state: TrainState,
     return params, state
 
 
+def _helper_terms(params: Params, idx: np.ndarray) -> list:
+    data = shared()[0]
+    return loss_terms(params, data.images[idx], data.labels[idx])
+
+
+def _helper_errors(params: Params, which: int, idx: np.ndarray) -> int:
+    data = shared()[which]
+    return count_errors(params, data.images[idx], data.labels[idx])
+
+
+class _Workers:
+    """The ``count`` processes one ``train`` call spreads its work over:
+    this one and ``pool``'s forked helpers, which inherited (train_data,
+    test_data). Without a pool everything runs here."""
+
+    def __init__(self, count: int, pool, train_data: Dataset, test_data: Dataset):
+        self.count = count
+        self.pool = pool
+        self.datasets = (train_data, test_data)
+
+    def loss_and_grads(self, params: Params, idx: np.ndarray) -> tuple[float, Params]:
+        """``loss_and_grads`` of the training examples ``idx``."""
+        data = self.datasets[0]
+        if self.pool is None or len(idx) < self.count:
+            return loss_and_grads(params, data.images[idx], data.labels[idx])
+        own, *later = np.array_split(idx, self.count)
+        futures = [self.pool.submit(_helper_terms, params, chunk) for chunk in later]
+        total, grads = loss_and_grads(params, data.images[own], data.labels[own])
+        for future in futures:
+            total = add_loss_terms(total, grads, future.result())
+        return total, grads
+
+    def error_rate(self, params: Params, which: int) -> float:
+        """``error_rate`` on the training (0) or test (1) set."""
+        data = self.datasets[which]
+        n = len(data)
+        if self.pool is None or n < self.count:
+            return error_rate(params, data)
+        own, *later = np.array_split(np.arange(n), self.count)
+        futures = [self.pool.submit(_helper_errors, params, which, chunk)
+                   for chunk in later]
+        wrong = count_errors(params, data.images[own], data.labels[own])
+        return (wrong + sum(future.result() for future in futures)) / n
+
+
 def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
           cfg: TrainConfig, seed: int) -> TrainResult:
     """Run the full training loop and collect per-epoch metrics.
 
     Evaluations (train and test error) happen every ``eval_every`` epochs
     and always on the final epoch; skipped epochs record NaN. A non-finite
-    minibatch loss aborts with a diagnostic naming the batch.
+    minibatch loss aborts with a diagnostic naming the batch. An exception
+    in a helper process is raised here with its own type, and a helper
+    that dies raises ``BrokenProcessPool``.
     """
     if len(train_data) == 0 or len(test_data) == 0:
         raise ShapeError("train and test datasets must be nonempty")
@@ -110,31 +175,34 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
     state = TrainState.fresh(params)
     records: list[EpochRecord] = []
     n = len(train_data)
+    count = worker_count(min(cfg.batch_size, n)) if cfg.epochs else 1
+    helpers = fork_pool(count - 1, train_data, test_data) if count > 1 else nullcontext()
 
-    for epoch in range(cfg.epochs):
-        start = time.perf_counter()
-        epoch_loss = 0.0
-        for batch_index, idx in enumerate(
-                minibatches(train_data, cfg.batch_size, cfg.shuffle_seed, epoch)):
-            loss, grads = loss_and_grads(
-                params, train_data.images[idx], train_data.labels[idx])
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
-            sgd_momentum_step(params, grads, state, cfg)
-            epoch_loss += loss
-        state.epochs_completed = epoch + 1
+    with helpers as pool:
+        workers = _Workers(count, pool, train_data, test_data)
+        for epoch in range(cfg.epochs):
+            start = time.perf_counter()
+            epoch_loss = 0.0
+            for batch_index, idx in enumerate(
+                    minibatches(train_data, cfg.batch_size, cfg.shuffle_seed, epoch)):
+                loss, grads = workers.loss_and_grads(params, idx)
+                if not math.isfinite(loss):
+                    raise NumericError(
+                        f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
+                sgd_momentum_step(params, grads, state, cfg)
+                epoch_loss += loss
+            state.epochs_completed = epoch + 1
 
-        evaluate = (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-        train_err = error_rate(params, train_data) if evaluate else math.nan
-        test_err = error_rate(params, test_data) if evaluate else math.nan
-        records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=epoch_loss / n,
-            train_error=train_err,
-            test_error=test_err,
-            seconds=time.perf_counter() - start,
-        ))
+            evaluate = (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1
+            train_err = workers.error_rate(params, 0) if evaluate else math.nan
+            test_err = workers.error_rate(params, 1) if evaluate else math.nan
+            records.append(EpochRecord(
+                epoch=epoch,
+                train_loss=epoch_loss / n,
+                train_error=train_err,
+                test_error=test_err,
+                seconds=time.perf_counter() - start,
+            ))
     return TrainResult(records=records, params=params, state=state)
 
 

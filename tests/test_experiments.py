@@ -1,12 +1,18 @@
+import importlib
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from reconv import (ArchConfig, CellResult, ExperimentResult, ExperimentSpec,
                     TrainConfig, contours_csv, emit_contours, error_rate,
-                    init_params, make_synthetic, param_count, results_csv,
-                    run_experiment, train)
+                    experiments, init_params, make_synthetic, param_count,
+                    pool, results_csv, run_experiment, train)
 from reconv.experiments import _cell_descriptors
+
+train_module = importlib.import_module("reconv.train")
 
 
 def spec(kind, m_list, l_list, epochs=0, **kw):
@@ -124,6 +130,35 @@ def test_programming_error_raises_instead_of_failing_the_cell():
     s.train.learning_rate = "0.001"   # a bug, not bad input or numerics
     with pytest.raises(TypeError):
         run_experiment(s, tiny_data(4), tiny_data(2, 1))
+
+
+def test_dead_worker_raises_instead_of_hanging(monkeypatch, deadline):
+    monkeypatch.setattr(pool, "available_cores", lambda: 2)
+    monkeypatch.setattr(experiments, "train", lambda *args: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(spec("layers-tied", [2], [1, 2], epochs=1),
+                       tiny_data(4), tiny_data(2, 1))
+
+
+def test_cells_in_workers_start_no_training_helpers(monkeypatch):
+    monkeypatch.setattr(pool, "available_cores", lambda: 2)
+    fork_pool, started = train_module.fork_pool, []
+
+    def parent_only(workers, *shared):
+        if multiprocessing.parent_process() is not None:
+            raise AssertionError("a worker process started helpers")
+        started.append(workers)
+        return fork_pool(workers, *shared)
+
+    monkeypatch.setattr(train_module, "fork_pool", parent_only)
+    s = spec("layers-tied", [2], [1, 2], epochs=1)
+    result = run_experiment(s, tiny_data(4), tiny_data(2, 1))
+    assert not any(c.error for c in result.cells)
+    assert started == []
+    # the same training run outside a worker starts its one helper
+    train(ArchConfig(feature_maps=2, layers=1, tied=True), tiny_data(4),
+          tiny_data(2, 1), s.train, seed=0)
+    assert started == [1]
 
 
 def test_results_csv_layout():

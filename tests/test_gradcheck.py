@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reconv import ArchConfig, NumericError, check_model_grads, finite_diff
-from reconv import ops
+from reconv import ArchConfig, NumericError, check_model_grads, finite_diff, forward
+from reconv import gradcheck, ops
 from reconv.gradcheck import relative_error
 
 
@@ -86,3 +86,19 @@ def test_report_csv_layout():
     assert lines[0] == "tensor,max_rel_err,pass"
     assert len(lines) == len(report.checks) + 1
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_check_model_grads_at_a_saturated_softmax(monkeypatch):
+    # a logit gap of 800 underflows the true class's softmax to exactly 0
+    check_point = gradcheck._check_point
+
+    def saturated(config, seed):
+        params, image, label = check_point(config, seed)
+        params.classifier_bias[(label + 1) % config.classes] += 800.0
+        return params, image, label
+
+    monkeypatch.setattr(gradcheck, "_check_point", saturated)
+    config = ArchConfig(feature_maps=2, layers=2, tied=True, input_h=8, input_w=8)
+    params, image, label = saturated(config, 0)
+    assert forward(params, image).probs[label] == 0.0
+    assert check_model_grads(config, 0).passed

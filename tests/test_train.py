@@ -1,12 +1,16 @@
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reconv import (ArchConfig, NumericError, ShapeError, TrainConfig,
-                    TrainState, init_params, loss_and_grads, make_synthetic,
-                    metrics_csv, sgd_momentum_step, train, zeros_like_params)
+from reconv import (ArchConfig, EpochRecord, NumericError, ShapeError,
+                    TrainConfig, TrainState, error_rate, init_params,
+                    loss_and_grads, make_synthetic, metrics_csv, minibatches,
+                    model, pool, sgd_momentum_step, train, zeros_like_params)
 
 
 def small_arch(**kw):
@@ -172,3 +176,91 @@ def test_config_validation():
         TrainConfig(epochs=1, momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, learning_rate=0.0)
+
+
+# ---------------------------------------------------------------------------
+# one run on several cores
+
+
+def serial_train(arch, data, test, cfg, seed):
+    """The training loop in one process, as the reference for ``train``."""
+    params = init_params(arch, seed)
+    state = TrainState.fresh(params)
+    records = []
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        for idx in minibatches(data, cfg.batch_size, cfg.shuffle_seed, epoch):
+            loss, grads = loss_and_grads(params, data.images[idx], data.labels[idx])
+            sgd_momentum_step(params, grads, state, cfg)
+            epoch_loss += loss
+        records.append(EpochRecord(epoch, epoch_loss / len(data),
+                                   error_rate(params, data), error_rate(params, test)))
+    return records, params, state
+
+
+def use_cores(monkeypatch, n):
+    monkeypatch.setattr(pool, "available_cores", lambda: n)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("tied,layers,n,batch,n_test", [
+    (True, 2, 37, 8, 11),     # short final batch of 5
+    (False, 3, 37, 8, 11),
+    (True, 1, 10, 4, 2),      # final batch and test set smaller than 3 workers
+    (False, 2, 9, 2, 5),      # batch size below the core count; final batch of 1
+])
+def test_train_on_any_core_count_equals_the_serial_loop(monkeypatch, workers, tied,
+                                                        layers, n, batch, n_test):
+    arch = small_arch(feature_maps=3, layers=layers, tied=tied)
+    data, test = make_synthetic(n, seed=2), make_synthetic(n_test, seed=3)
+    cfg = TrainConfig(epochs=2, batch_size=batch)
+    records, params, state = serial_train(arch, data, test, cfg, seed=7)
+    use_cores(monkeypatch, workers)
+    result = train(arch, data, test, cfg, seed=7)
+    assert result.records == records
+    for (name, a), (_, b) in zip(result.params.tensors(), params.tensors()):
+        assert np.array_equal(a, b), name
+    for (name, a), (_, b) in zip(result.state.velocity.tensors(), state.velocity.tensors()):
+        assert np.array_equal(a, b), name
+
+
+def test_nonfinite_loss_names_its_batch_on_two_cores(monkeypatch):
+    use_cores(monkeypatch, 2)
+    arch = small_arch(feature_maps=4, layers=2)
+    data = make_synthetic(8, seed=0)
+    cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e100)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
+            train(arch, data, data, cfg, seed=0)
+
+
+def in_helpers_only(monkeypatch, action):
+    """Make ``model.forward`` call ``action`` in forked helper processes."""
+    original = model.forward
+
+    def forward(params, image):
+        if multiprocessing.parent_process() is not None:
+            action()
+        return original(params, image)
+
+    monkeypatch.setattr(model, "forward", forward)
+
+
+def test_helper_exception_reaches_the_caller_with_its_type(monkeypatch):
+    use_cores(monkeypatch, 2)
+
+    def fail():
+        raise LookupError("raised in a helper")
+
+    in_helpers_only(monkeypatch, fail)
+    with pytest.raises(LookupError, match="raised in a helper"):
+        train(small_arch(), make_synthetic(8, seed=0), make_synthetic(4, seed=1),
+              TrainConfig(epochs=1, batch_size=4), seed=0)
+
+
+def test_dead_helper_raises_instead_of_hanging(monkeypatch, deadline):
+    use_cores(monkeypatch, 2)
+    in_helpers_only(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        train(small_arch(), make_synthetic(8, seed=0), make_synthetic(4, seed=1),
+              TrainConfig(epochs=1, batch_size=4), seed=0)
