@@ -25,6 +25,7 @@ from .experiments import (ExperimentSpec, contours_csv, emit_contours,
                           results_csv, run_experiment)
 from .gradcheck import check_model_grads
 from .model import ArchConfig
+from .table import csv_text
 from .train import TrainConfig, metrics_csv, train
 
 EXIT_USAGE, EXIT_CONFIG, EXIT_DATA_FORMAT, EXIT_NUMERIC = 2, 3, 4, 5
@@ -41,11 +42,12 @@ _DATA = {
     "synth_train_seed": "0", "synth_test_seed": "1",
 }
 _TRAIN_OPT = {"epochs": "2", "batch_size": "128", "lr": "0.001",
-              "momentum": "0.9", "seed": "0", "shuffle_seed": "0",
-              "eval_every": "1"}
+              "momentum": "0.9", "shuffle_seed": "0", "eval_every": "1"}
 
+# Every key is also a flag: key m_list is --m-list, and key tied is the
+# pair --tied/--untied.
 DEFAULTS: dict[str, dict[str, str]] = {
-    "train": {**_COMMON, **_ARCH, **_DATA, **_TRAIN_OPT},
+    "train": {**_COMMON, **_ARCH, **_DATA, **_TRAIN_OPT, "seed": "0"},
     "experiment": {**_COMMON, **_DATA, **_TRAIN_OPT,
                    "kind": "layers-tied", "m_list": "8,16,32",
                    "l_list": "1,2,4", "tol": "0.01", "seeds": "0",
@@ -259,12 +261,7 @@ def cmd_pairs(cfg: dict[str, str]) -> int:
 
 
 def cmd_gradcheck(cfg: dict[str, str]) -> int:
-    size = _to_int(cfg, "input_size")
-    arch = ArchConfig(
-        feature_maps=_to_int(cfg, "m"), layers=_to_int(cfg, "l"),
-        tied=_to_bool(cfg, "tied"), input_h=size, input_w=size,
-        classes=_to_int(cfg, "classes"), sigma_v=_to_float(cfg, "sigma_v"))
-    report = check_model_grads(arch, _to_int(cfg, "seed"),
+    report = check_model_grads(_arch_from(cfg), _to_int(cfg, "seed"),
                                tol=_to_float(cfg, "tol"), eps=_to_float(cfg, "eps"))
     out_dir = _prepare_out(cfg)
     path = out_dir / ARTIFACTS["gradcheck"]
@@ -309,9 +306,8 @@ def cmd_convert_check(cfg: dict[str, str]) -> int:
         raise ConfigError(f"format must be raw or cifar10, got {cfg['format']!r}")
     out_dir = _prepare_out(cfg)
     path = out_dir / ARTIFACTS["convert-check"]
-    lines = ["path,records,classes,status"]
-    lines += [f"{p},{n},{k},ok" for p, n, k in checked]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(["path", "records", "classes", "status"],
+                             ([p, n, k, "ok"] for p, n, k in checked)))
     total = sum(n for _, n, _ in checked) if cfg["format"] == "cifar10" else checked[0][1]
     print(f"checked {total} records; wrote {path}")
     return 0
@@ -321,86 +317,23 @@ _HANDLERS = {"train": cmd_train, "experiment": cmd_experiment,
              "pairs": cmd_pairs, "gradcheck": cmd_gradcheck,
              "contours": cmd_contours, "convert-check": cmd_convert_check}
 
-# (flag, key, action) triples; action "value" stores a string, "true"/"false"
-# store boolean constants for paired flags.
-_FLAGS: dict[str, list[tuple[str, str, str]]] = {
-    "train": [
-        ("--dataset", "dataset", "value"), ("--data-dir", "data_dir", "value"),
-        ("--train-files", "train_files", "value"), ("--test-files", "test_files", "value"),
-        ("--train-images", "train_images", "value"), ("--train-labels", "train_labels", "value"),
-        ("--n-train", "n_train", "value"), ("--test-images", "test_images", "value"),
-        ("--test-labels", "test_labels", "value"), ("--n-test", "n_test", "value"),
-        ("--synth-train", "synth_train", "value"), ("--synth-test", "synth_test", "value"),
-        ("--synth-noise", "synth_noise", "value"),
-        ("--synth-train-seed", "synth_train_seed", "value"),
-        ("--synth-test-seed", "synth_test_seed", "value"),
-        ("--m", "m", "value"), ("--l", "l", "value"),
-        ("--tied", "tied", "true"), ("--untied", "tied", "false"),
-        ("--sigma-v", "sigma_v", "value"), ("--input-size", "input_size", "value"),
-        ("--classes", "classes", "value"), ("--epochs", "epochs", "value"),
-        ("--batch-size", "batch_size", "value"), ("--lr", "lr", "value"),
-        ("--momentum", "momentum", "value"), ("--seed", "seed", "value"),
-        ("--shuffle-seed", "shuffle_seed", "value"), ("--eval-every", "eval_every", "value"),
-    ],
-    "experiment": [
-        ("--dataset", "dataset", "value"), ("--data-dir", "data_dir", "value"),
-        ("--train-files", "train_files", "value"), ("--test-files", "test_files", "value"),
-        ("--train-images", "train_images", "value"), ("--train-labels", "train_labels", "value"),
-        ("--n-train", "n_train", "value"), ("--test-images", "test_images", "value"),
-        ("--test-labels", "test_labels", "value"), ("--n-test", "n_test", "value"),
-        ("--synth-train", "synth_train", "value"), ("--synth-test", "synth_test", "value"),
-        ("--synth-noise", "synth_noise", "value"),
-        ("--synth-train-seed", "synth_train_seed", "value"),
-        ("--synth-test-seed", "synth_test_seed", "value"),
-        ("--kind", "kind", "value"), ("--m-list", "m_list", "value"),
-        ("--l-list", "l_list", "value"), ("--tol", "tol", "value"),
-        ("--seeds", "seeds", "value"), ("--max-pairs", "max_pairs", "value"),
-        ("--epochs", "epochs", "value"), ("--batch-size", "batch_size", "value"),
-        ("--lr", "lr", "value"), ("--momentum", "momentum", "value"),
-        ("--shuffle-seed", "shuffle_seed", "value"), ("--eval-every", "eval_every", "value"),
-    ],
-    "pairs": [
-        ("--layers", "layers", "value"), ("--m-min", "m_min", "value"),
-        ("--m-max", "m_max", "value"), ("--tol", "tol", "value"),
-    ],
-    "gradcheck": [
-        ("--m", "m", "value"), ("--l", "l", "value"),
-        ("--tied", "tied", "true"), ("--untied", "tied", "false"),
-        ("--seed", "seed", "value"), ("--tol", "tol", "value"),
-        ("--eps", "eps", "value"), ("--input-size", "input_size", "value"),
-        ("--classes", "classes", "value"), ("--sigma-v", "sigma_v", "value"),
-    ],
-    "contours": [
-        ("--kind", "kind", "value"), ("--m-list", "m_list", "value"),
-        ("--l-list", "l_list", "value"),
-    ],
-    "convert-check": [
-        ("--format", "format", "value"), ("--images", "images", "value"),
-        ("--labels", "labels", "value"), ("--n", "n", "value"),
-        ("--classes", "classes", "value"), ("--files", "files", "value"),
-        ("--data-dir", "data_dir", "value"),
-    ],
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reconv",
         description="Recursive (weight-tied) convolutional network toolkit")
     parser.add_argument("--version", action="version", version=f"reconv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _FLAGS.items():
+    for command, defaults in DEFAULTS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", dest="key_out", default=None, metavar="DIR")
-        p.add_argument("--timing", dest="key_timing", default=None,
-                       choices=["none", "wall"])
-        for flag, key, action in flags:
-            if action == "value":
-                p.add_argument(flag, dest=f"key_{key}", default=None)
+        for key in defaults:
+            dest = f"key_{key}"
+            if key == "tied":
+                p.add_argument("--tied", dest=dest, action="store_const", const="true")
+                p.add_argument("--untied", dest=dest, action="store_const", const="false")
             else:
-                p.add_argument(flag, dest=f"key_{key}", action="store_const",
-                               const=action, default=None)
+                p.add_argument("--" + key.replace("_", "-"), dest=dest,
+                               choices=["none", "wall"] if key == "timing" else None)
     return parser
 
 

@@ -9,13 +9,22 @@ width-controlled comparisons hold the budget fixed.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ArchConfig
+from .table import csv_text
+
+
+def count_coefficients(config: ArchConfig) -> tuple[int, int, int]:
+    """(a, b, c) with param_count = a*M^2 + b*M + c for the architecture's
+    depth, tying and extents; ``config.feature_maps`` does not enter."""
+    l_eff = config.hidden_copies
+    a = config.hidden_kernel * config.hidden_kernel * l_eff
+    b = (config.first_kernel * config.first_kernel * config.input_channels
+         + (l_eff + 1) + config.pooled_h * config.pooled_w * config.classes)
+    return a, b, config.classes
 
 
 def param_count(config: ArchConfig) -> int:
@@ -27,14 +36,9 @@ def param_count(config: ArchConfig) -> int:
         8*8*3*M + 3*3*M^2*L_eff + M*(L_eff+1) + 64*M*K + K
     where L_eff is the layer count for untied models and 1 for tied.
     """
-    l_eff = 1 if config.tied else config.layers
+    a, b, c = count_coefficients(config)
     m = config.feature_maps
-    first = config.first_kernel * config.first_kernel * config.input_channels * m
-    hidden = config.hidden_kernel * config.hidden_kernel * m * m * l_eff
-    biases = m * (l_eff + 1)
-    pooled = (config.input_h // config.pool) * (config.input_w // config.pool)
-    classifier = pooled * m * config.classes + config.classes
-    return first + hidden + biases + classifier
+    return a * m * m + b * m + c
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,13 @@ def match_pairs(layers: int, m_range: tuple[int, int],
     lo, hi = m_range
     if lo > hi:
         return []
-    ms = np.arange(lo, hi + 1)
-    p_untied = np.array([
-        param_count(ArchConfig(feature_maps=int(m), layers=layers, tied=False))
-        for m in ms], dtype=np.int64)
-    p_tied = np.array([
-        param_count(ArchConfig(feature_maps=int(m), layers=layers, tied=True))
-        for m in ms], dtype=np.int64)
+    ms = np.arange(lo, hi + 1, dtype=np.int64)
+
+    def counts(tied: bool) -> np.ndarray:
+        a, b, c = count_coefficients(ArchConfig(lo, layers, tied))
+        return a * ms * ms + b * ms + c
+
+    p_untied, p_tied = counts(False), counts(True)
     diff = np.abs(p_untied[:, None] - p_tied[None, :])
     denom = np.maximum(p_untied[:, None], p_tied[None, :])
     rel = diff / denom
@@ -93,10 +97,6 @@ def match_pairs(layers: int, m_range: tuple[int, int],
 def pairs_csv(pairs: list[ModelPair]) -> str:
     """Render pairs as CSV with columns
     L, m_untied, m_tied, p_untied, p_tied, rel_diff."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["L", "m_untied", "m_tied", "p_untied", "p_tied", "rel_diff"])
-    for p in pairs:
-        writer.writerow([p.layers, p.m_untied, p.m_tied,
-                         p.p_untied, p.p_tied, repr(p.rel_diff)])
-    return buf.getvalue()
+    return csv_text(["L", "m_untied", "m_tied", "p_untied", "p_tied", "rel_diff"],
+                    ([p.layers, p.m_untied, p.m_tied, p.p_untied, p.p_tied, p.rel_diff]
+                     for p in pairs))

@@ -20,17 +20,16 @@ per cell and do not stop the sweep.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 import time
 from dataclasses import dataclass, field
 
-from .counting import match_pairs, param_count
+from .counting import count_coefficients, match_pairs, param_count
 from .data import Dataset
 from .errors import ReconvError
 from .model import ArchConfig, error_rate
 from .pool import fork_pool, shared, worker_count
+from .table import csv_text
 from .train import TrainConfig, train
 
 KINDS = ("overview-grid", "layers-tied", "params-layers-untied",
@@ -88,10 +87,6 @@ def _cell_descriptors(spec: ExperimentSpec) -> list[tuple[bool, int, int]]:
         cells = [(True, m, l) for m in spec.m_list for l in spec.l_list]
     elif spec.kind == "params-layers-untied":
         cells = [(False, m, l) for m in spec.m_list for l in spec.l_list]
-    elif spec.kind == "pair-tied-vs-untied":
-        for m in spec.m_list:
-            for l in spec.l_list:
-                cells.extend([(False, m, l), (True, m, l)])
     elif spec.kind == "pair-matched-features":
         m_range = (min(spec.m_list), max(spec.m_list))
         for l in spec.l_list:
@@ -100,17 +95,10 @@ def _cell_descriptors(spec: ExperimentSpec) -> list[tuple[bool, int, int]]:
                 pairs = pairs[:spec.max_pairs]
             for pair in pairs:
                 cells.extend([(False, pair.m_untied, l), (True, pair.m_tied, l)])
-    elif spec.kind == "overview-grid":
-        for m in spec.m_list:
-            for l in spec.l_list:
-                cells.extend([(False, m, l), (True, m, l)])
-    seen = set()
-    unique = []
-    for c in cells:
-        if c not in seen:
-            seen.add(c)
-            unique.append(c)
-    return unique
+    else:  # pair-tied-vs-untied and overview-grid
+        cells = [(tied, m, l) for m in spec.m_list for l in spec.l_list
+                 for tied in (False, True)]
+    return list(dict.fromkeys(cells))
 
 
 def _conv_macs(m: int, l: int) -> int:
@@ -190,16 +178,12 @@ def run_experiment(spec: ExperimentSpec, train_data: Dataset,
 def results_csv(result: ExperimentResult, wall_time: bool = False) -> str:
     """CSV with columns kind, tied, M, L, param_count, train_error,
     test_error, seed, epochs, seconds (zeroed unless wall_time), error."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "tied", "M", "L", "param_count", "train_error",
-                     "test_error", "seed", "epochs", "seconds", "error"])
-    for c in result.cells:
-        writer.writerow([
-            c.kind, str(c.tied).lower(), c.feature_maps, c.layers, c.param_count,
-            repr(c.train_error), repr(c.test_error), c.seed, c.epochs,
-            repr(c.seconds if wall_time else 0.0), c.error])
-    return buf.getvalue()
+    return csv_text(
+        ["kind", "tied", "M", "L", "param_count", "train_error", "test_error",
+         "seed", "epochs", "seconds", "error"],
+        ([c.kind, c.tied, c.feature_maps, c.layers, c.param_count, c.train_error,
+          c.test_error, c.seed, c.epochs, c.seconds if wall_time else 0.0, c.error]
+         for c in result.cells))
 
 
 @dataclass(frozen=True)
@@ -217,12 +201,8 @@ class ContourRow:
 def _solve_m(level: int, layers: int, tied: bool) -> float:
     """Positive real M with param_count(M, layers, tied) == level, using
     the default extents. The count is quadratic in M."""
-    cfg = ArchConfig(feature_maps=1, layers=layers, tied=tied)
-    l_eff = 1 if tied else layers
-    a = cfg.hidden_kernel ** 2 * l_eff
-    b = (cfg.first_kernel ** 2 * cfg.input_channels + (l_eff + 1)
-         + (cfg.input_h // cfg.pool) * (cfg.input_w // cfg.pool) * cfg.classes)
-    c = cfg.classes - level
+    a, b, c = count_coefficients(ArchConfig(feature_maps=1, layers=layers, tied=tied))
+    c -= level
     return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
@@ -255,9 +235,5 @@ def emit_contours(m_list: list[int], l_list: list[int], kind: str) -> list[Conto
 
 def contours_csv(rows: list[ContourRow]) -> str:
     """CSV with columns M, L, param_count, level_id."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["M", "L", "param_count", "level_id"])
-    for r in rows:
-        writer.writerow([repr(r.m), r.layers, r.param_count, r.level_id])
-    return buf.getvalue()
+    return csv_text(["M", "L", "param_count", "level_id"],
+                    ([r.m, r.layers, r.param_count, r.level_id] for r in rows))

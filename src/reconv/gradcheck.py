@@ -11,22 +11,37 @@ skipping it and reporting the skip count.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import NumericError
 from .model import ArchConfig, Params, _nll, forward, init_params, loss_and_grads, untie
+from .table import csv_text
 
 REL_ERR_FLOOR = 1e-8
 
 
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
+
+
+def _central_differences(theta: np.ndarray, eps: float,
+                         evaluate: Callable) -> Iterator[tuple]:
+    """(i, evaluate() at theta_i + eps, evaluate() at theta_i - eps) for
+    each coordinate i of ``theta``, which is perturbed in place and
+    restored before each yield."""
+    flat = theta.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        plus = evaluate()
+        flat[i] = orig - eps
+        minus = evaluate()
+        flat[i] = orig
+        yield i, plus, minus
 
 
 def finite_diff(f: Callable[[np.ndarray], float], theta: np.ndarray,
@@ -39,15 +54,8 @@ def finite_diff(f: Callable[[np.ndarray], float], theta: np.ndarray,
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     grad = np.zeros_like(theta, dtype=np.float64)
-    flat = theta.reshape(-1)
     gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(theta)
-        flat[i] = orig - eps
-        fm = f(theta)
-        flat[i] = orig
+    for i, fp, fm in _central_differences(theta, eps, lambda: f(theta)):
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError(
                 f"non-finite evaluation at coordinate {i}: f+={fp}, f-={fm}")
@@ -81,12 +89,8 @@ class GradReport:
         return ok
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tensor", "max_rel_err", "pass"])
-        for c in self.checks:
-            writer.writerow([c.name, repr(c.max_rel_err), str(c.passed).lower()])
-        return buf.getvalue()
+        return csv_text(["tensor", "max_rel_err", "pass"],
+                        ([c.name, c.max_rel_err, c.passed] for c in self.checks))
 
     def __str__(self) -> str:
         lines = []
@@ -151,17 +155,11 @@ def check_model_grads(config: ArchConfig, seed: int, tol: float = 1e-4,
 
     checks = []
     for (name, theta), (_, grad) in zip(params.tensors(), analytic.tensors()):
-        flat = theta.reshape(-1)
         gflat = grad.reshape(-1)
         max_err = 0.0
         skipped = 0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            tape_p = forward(params, image)
-            flat[i] = orig - eps
-            tape_m = forward(params, image)
-            flat[i] = orig
+        for i, tape_p, tape_m in _central_differences(
+                theta, eps, lambda: forward(params, image)):
             if not _same_signature(_kink_signature(tape_p), _kink_signature(tape_m)):
                 skipped += 1
                 continue

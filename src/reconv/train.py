@@ -27,8 +27,6 @@ minibatch with fewer examples than processes runs here alone.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 import time
 from contextlib import nullcontext
@@ -41,6 +39,7 @@ from .errors import NumericError, ShapeError
 from .model import (ArchConfig, Params, add_loss_terms, count_errors, error_rate,
                     init_params, loss_and_grads, loss_terms, zeros_like_params)
 from .pool import fork_pool, shared, worker_count
+from .table import csv_text
 
 
 @dataclass
@@ -210,10 +209,6 @@ def metrics_csv(result: TrainResult, wall_time: bool = False) -> str:
     """CSV with columns epoch, train_loss, train_error, test_error,
     seconds. Wall timings are only written on request because they break
     byte-identical replays; the default writes 0.0."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "train_loss", "train_error", "test_error", "seconds"])
-    for r in result.records:
-        writer.writerow([r.epoch, repr(r.train_loss), repr(r.train_error),
-                         repr(r.test_error), repr(r.seconds if wall_time else 0.0)])
-    return buf.getvalue()
+    return csv_text(["epoch", "train_loss", "train_error", "test_error", "seconds"],
+                    ([r.epoch, r.train_loss, r.train_error, r.test_error,
+                      r.seconds if wall_time else 0.0] for r in result.records))
