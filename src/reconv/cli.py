@@ -319,12 +319,12 @@ _HANDLERS = {"train": cmd_train, "experiment": cmd_experiment,
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="reconv",
+        prog="reconv", allow_abbrev=False,
         description="Recursive (weight-tied) convolutional network toolkit")
     parser.add_argument("--version", action="version", version=f"reconv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, defaults in DEFAULTS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key=value config file")
         for key in defaults:
             dest = f"key_{key}"

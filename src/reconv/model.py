@@ -14,6 +14,7 @@ sum over all of its applications.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import ops
 from .errors import ShapeError
+from .pool import fork_pool, shared, worker_count
 
 
 @dataclass(frozen=True)
@@ -357,9 +359,53 @@ def count_errors(params: Params, images: np.ndarray, labels: np.ndarray) -> int:
                for image, label in zip(images, labels))
 
 
+def _helper_errors(params: Params, which: int, start: int, stop: int) -> int:
+    """``count_errors`` of examples ``start:stop`` of ``shared()[which]``,
+    in a ``fork_pool`` worker."""
+    data = shared()[which]
+    return count_errors(params, data.images[start:stop], data.labels[start:stop])
+
+
+def split_errors(params: Params, data, processes: int, helpers,
+                 which: int = 0) -> int:
+    """``count_errors`` over every example of ``data``, cut into one
+    contiguous chunk per process, or fewer if there are fewer examples.
+
+    This process classifies the first chunk while ``helpers``, a
+    ``fork_pool`` of ``processes - 1`` workers that inherited ``data`` as
+    ``shared()[which]``, classify the others. Without helpers, this
+    process classifies them all. The counts are integers, so the total is
+    the same on any number of processes.
+    """
+    if helpers is None:
+        return count_errors(params, data.images, data.labels)
+    n = len(data.images)
+    parts = min(processes, n)
+    # slices, not index arrays, so that no chunk's images are copied
+    edges = [n * part // parts for part in range(parts + 1)]
+    futures = [helpers.submit(_helper_errors, params, which, start, stop)
+               for start, stop in zip(edges[1:-1], edges[2:])]
+    wrong = count_errors(params, data.images[:edges[1]], data.labels[:edges[1]])
+    return wrong + sum(future.result() for future in futures)
+
+
 def error_rate(params: Params, data) -> float:
-    """Fraction of examples whose predicted class differs from the label."""
+    """Fraction of examples whose predicted class differs from the label.
+
+    The examples are split (``split_errors``) over
+    ``pool.worker_count(len(data))`` processes: this one and helpers
+    forked for the length of the call. Forking and joining them takes
+    about 30 ms in a 250 MB process, as long as some 30 forward passes at
+    32x32, so on a few dozen images or fewer a call is slower than on one
+    core. With one core, where the platform cannot fork, or in a pool
+    worker, everything runs in this process. The result is the same
+    either way. An exception in a helper is raised here with its own
+    type, and a helper that dies raises ``BrokenProcessPool``.
+    """
     n = len(data.images)
     if n == 0:
         raise ShapeError("error_rate needs a nonempty dataset")
-    return count_errors(params, data.images, data.labels) / n
+    processes = worker_count(n)
+    helpers = fork_pool(processes - 1, data) if processes > 1 else nullcontext()
+    with helpers as pool:
+        return split_errors(params, data, processes, pool) / n

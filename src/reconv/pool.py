@@ -1,4 +1,4 @@
-"""Forked worker processes, shared by experiment sweeps and training.
+"""Forked worker processes, shared by sweeps, training and evaluation.
 
 One rule decides how many processes a job uses, and one pool type runs
 them. The pool forks, so the datasets a job hands it are inherited by

@@ -21,8 +21,10 @@ loss and gradient terms unsummed, and this process adds them onto the
 partial sums one example at a time, in index order. Every floating-point
 addition thus happens in the serial loop's order, and records and
 parameters are bit for bit the same whatever the number of cores.
-Evaluations are split the same way and add integer error counts. A
-minibatch with fewer examples than processes runs here alone.
+Evaluations go through ``model.split_errors``, the split that
+``error_rate`` uses, on this call's helpers rather than a pool of their
+own, and add integer error counts. A minibatch with fewer examples than
+processes runs here alone.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import numpy as np
 
 from .data import Dataset, minibatches
 from .errors import NumericError, ShapeError
-from .model import (ArchConfig, Params, add_loss_terms, count_errors, error_rate,
-                    init_params, loss_and_grads, loss_terms, zeros_like_params)
+from .model import (ArchConfig, Params, add_loss_terms, init_params, loss_and_grads,
+                    loss_terms, split_errors, zeros_like_params)
 from .pool import fork_pool, shared, worker_count
 from .table import csv_text
 
@@ -118,11 +120,6 @@ def _helper_terms(params: Params, idx: np.ndarray) -> list:
     return loss_terms(params, data.images[idx], data.labels[idx])
 
 
-def _helper_errors(params: Params, which: int, idx: np.ndarray) -> int:
-    data = shared()[which]
-    return count_errors(params, data.images[idx], data.labels[idx])
-
-
 class _Workers:
     """The ``count`` processes one ``train`` call spreads its work over:
     this one and ``pool``'s forked helpers, which inherited (train_data,
@@ -146,16 +143,10 @@ class _Workers:
         return total, grads
 
     def error_rate(self, params: Params, which: int) -> float:
-        """``error_rate`` on the training (0) or test (1) set."""
+        """``error_rate`` on the training (0) or test (1) set, split over
+        this call's processes rather than a pool of its own."""
         data = self.datasets[which]
-        n = len(data)
-        if self.pool is None or n < self.count:
-            return error_rate(params, data)
-        own, *later = np.array_split(np.arange(n), self.count)
-        futures = [self.pool.submit(_helper_errors, params, which, chunk)
-                   for chunk in later]
-        wrong = count_errors(params, data.images[own], data.labels[own])
-        return (wrong + sum(future.result() for future in futures)) / n
+        return split_errors(params, data, self.count, self.pool, which) / len(data)
 
 
 def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from reconv.cli import main
+from reconv.cli import build_parser, main
 from reconv.data import PIXELS_PER_IMAGE, make_synthetic, save_raw
 
 
@@ -203,6 +203,15 @@ def test_data_dir_env_var_is_default_root(tmp_path, monkeypatch):
 def test_usage_error_exit_code():
     assert run(["pairs", "--no-such-flag"]) == 2
     assert run([]) == 2
+
+
+@pytest.mark.parametrize("argv", [["experiment", "--seed", "5"],   # not --seeds
+                                  ["train", "--epoch", "1"],       # not --epochs
+                                  ["--vers"]])                     # not --version
+def test_abbreviated_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def test_invalid_value_is_config_error(tmp_path, capsys):

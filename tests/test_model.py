@@ -5,7 +5,8 @@ import pytest
 from reconv import (ArchConfig, Dataset, ShapeError, error_rate, forward,
                     init_params, loss_and_grads, make_synthetic, nll,
                     predict_class, untie, zeros_like_params)
-from reconv import ops
+from reconv import ops, pool
+from reconv.model import count_errors
 
 
 def tiny_cfg(m=4, l=3, tied=True, size=8):
@@ -240,6 +241,20 @@ def test_error_rate_uniform_model_on_balanced_random_labels():
     expected = 1.0 - np.mean(labels == 0)
     assert observed == pytest.approx(expected, abs=1e-12)
     assert abs(observed - 0.9) < 4 * np.sqrt(0.9 * 0.1 / n)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 37])   # some smaller than the process count
+def test_error_rate_on_any_core_count_equals_the_serial_count(monkeypatch, cores, n):
+    cfg = tiny_cfg(m=2, l=1)
+    params = generic_params(cfg, seed=3)
+    images = np.random.default_rng(4).uniform(0, 1, (n, 8, 8, 3))
+    # every odd-numbered example is misclassified, wherever the chunks end
+    labels = [(predict_class(params, images[i]) + i % 2) % 10 for i in range(n)]
+    wrong = count_errors(params, images, labels)
+    assert wrong == n // 2
+    monkeypatch.setattr(pool, "available_cores", lambda: cores)
+    assert error_rate(params, _dataset(images, labels)) == wrong / n
 
 
 def test_error_rate_empty_dataset_raises():

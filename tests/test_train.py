@@ -1,3 +1,4 @@
+import importlib
 import math
 import multiprocessing
 import os
@@ -11,6 +12,8 @@ from reconv import (ArchConfig, EpochRecord, NumericError, ShapeError,
                     TrainConfig, TrainState, error_rate, init_params,
                     loss_and_grads, make_synthetic, metrics_csv, minibatches,
                     model, pool, sgd_momentum_step, train, zeros_like_params)
+
+train_module = importlib.import_module("reconv.train")
 
 
 def small_arch(**kw):
@@ -264,3 +267,57 @@ def test_dead_helper_raises_instead_of_hanging(monkeypatch, deadline):
     with pytest.raises(BrokenProcessPool):
         train(small_arch(), make_synthetic(8, seed=0), make_synthetic(4, seed=1),
               TrainConfig(epochs=1, batch_size=4), seed=0)
+
+
+def test_error_rate_helper_exception_reaches_the_caller_with_its_type(monkeypatch):
+    use_cores(monkeypatch, 2)
+
+    def fail():
+        raise LookupError("raised in a helper")
+
+    in_helpers_only(monkeypatch, fail)
+    with pytest.raises(LookupError, match="raised in a helper"):
+        error_rate(init_params(small_arch(), seed=0), make_synthetic(8, seed=0))
+
+
+def test_error_rate_dead_helper_raises_instead_of_hanging(monkeypatch, deadline):
+    use_cores(monkeypatch, 2)
+    in_helpers_only(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        error_rate(init_params(small_arch(), seed=0), make_synthetic(8, seed=0))
+
+
+def count_pools(monkeypatch):
+    """The worker counts of the pools that ``train`` and ``error_rate``
+    fork, in order; forking one in a worker process raises instead."""
+    started = []
+    for module in (train_module, model):
+        def counted(workers, *shared, fork_pool=module.fork_pool):
+            if multiprocessing.parent_process() is not None:
+                raise AssertionError("a worker process forked a pool")
+            started.append(workers)
+            return fork_pool(workers, *shared)
+
+        monkeypatch.setattr(module, "fork_pool", counted)
+    return started
+
+
+def test_train_evaluates_on_its_own_helpers_without_a_second_pool(monkeypatch):
+    use_cores(monkeypatch, 2)
+    started = count_pools(monkeypatch)
+    result = train(small_arch(), make_synthetic(8, seed=0), make_synthetic(4, seed=1),
+                   TrainConfig(epochs=2, batch_size=4), seed=0)
+    assert started == [1]
+    assert all(not math.isnan(r.test_error) for r in result.records)
+
+
+def test_error_rate_in_a_pool_worker_forks_nothing(monkeypatch):
+    use_cores(monkeypatch, 2)
+    started = count_pools(monkeypatch)
+    params, data = init_params(small_arch(), seed=0), make_synthetic(8, seed=0)
+    with pool.fork_pool(1) as workers:
+        in_worker = workers.submit(error_rate, params, data).result(timeout=60)
+    assert started == []
+    # the same call outside a worker forks its one helper
+    assert error_rate(params, data) == in_worker
+    assert started == [1]
