@@ -204,7 +204,10 @@ def forward(params: Params, image: np.ndarray) -> Tape:
             + params.hidden_biases[i])
         hidden.append(z)
     normalized = ops.l2norm_pixel(hidden[-1])
-    logits = params.classifier_bias + np.tensordot(normalized, params.classifier, axes=3)
+    # np.tensordot(normalized, classifier, axes=3) without its wrapper:
+    # the same dot of the same (1, N) and (N, K) matrices, so the same bits.
+    logits = params.classifier_bias + normalized.reshape(1, -1).dot(
+        params.classifier.reshape(-1, cfg.classes))[0]
     probs = ops.softmax(logits)
     return Tape(image=image, pre_pool=pre_pool, pool_argmax=argmax,
                 hidden=hidden, normalized=normalized, logits=logits, probs=probs)
@@ -252,7 +255,10 @@ def _gradient_terms(params: Params, tape: Tape,
 
     yield _CLASSIFIER_BIAS, dlogits
     yield _CLASSIFIER, tape.normalized[:, :, :, None] * dlogits
-    dnorm = np.tensordot(params.classifier, dlogits, axes=([3], [0]))
+    # np.tensordot(classifier, dlogits, axes=([3], [0])) without its
+    # wrapper: the same dot of the same (N, K) and (K, 1) matrices.
+    dnorm = params.classifier.reshape(-1, cfg.classes).dot(
+        dlogits.reshape(-1, 1)).reshape(tape.normalized.shape)
     dz = ops.l2norm_pixel_grad(dnorm, tape.hidden[-1])
 
     for layer in reversed(range(cfg.layers)):
@@ -359,23 +365,28 @@ def count_errors(params: Params, images: np.ndarray, labels: np.ndarray) -> int:
                for image, label in zip(images, labels))
 
 
-def _helper_errors(params: Params, which: int, start: int, stop: int) -> int:
+def _helper_errors(params: Params | None, which: int, start: int, stop: int) -> int:
     """``count_errors`` of examples ``start:stop`` of ``shared()[which]``,
-    in a ``fork_pool`` worker."""
+    in a ``fork_pool`` worker, with ``params`` or, where that is None,
+    with the parameters the pool was given last (``shared()[-1]``)."""
     data = shared()[which]
+    if params is None:
+        params = shared()[-1]
     return count_errors(params, data.images[start:stop], data.labels[start:stop])
 
 
 def split_errors(params: Params, data, processes: int, helpers,
-                 which: int = 0) -> int:
+                 which: int = 0, inherited: bool = False) -> int:
     """``count_errors`` over every example of ``data``, cut into one
     contiguous chunk per process, or fewer if there are fewer examples.
 
     This process classifies the first chunk while ``helpers``, a
     ``fork_pool`` of ``processes - 1`` workers that inherited ``data`` as
-    ``shared()[which]``, classify the others. Without helpers, this
-    process classifies them all. The counts are integers, so the total is
-    the same on any number of processes.
+    ``shared()[which]``, classify the others. Each helper task carries
+    ``params``, unless ``inherited`` says the helpers were given them as
+    the pool's last shared object; then a task is only its slice bounds.
+    Without helpers, this process classifies them all. The counts are
+    integers, so the total is the same on any number of processes.
     """
     if helpers is None:
         return count_errors(params, data.images, data.labels)
@@ -383,7 +394,8 @@ def split_errors(params: Params, data, processes: int, helpers,
     parts = min(processes, n)
     # slices, not index arrays, so that no chunk's images are copied
     edges = [n * part // parts for part in range(parts + 1)]
-    futures = [helpers.submit(_helper_errors, params, which, start, stop)
+    sent = None if inherited else params
+    futures = [helpers.submit(_helper_errors, sent, which, start, stop)
                for start, stop in zip(edges[1:-1], edges[2:])]
     wrong = count_errors(params, data.images[:edges[1]], data.labels[:edges[1]])
     return wrong + sum(future.result() for future in futures)
@@ -399,13 +411,16 @@ def error_rate(params: Params, data) -> float:
     32x32, so on a few dozen images or fewer a call is slower than on one
     core. With one core, where the platform cannot fork, or in a pool
     worker, everything runs in this process. The result is the same
-    either way. An exception in a helper is raised here with its own
-    type, and a helper that dies raises ``BrokenProcessPool``.
+    either way. The helpers inherit ``params`` with the data, so no task
+    pickles them: the pool's feeder thread would do that in a malloc arena
+    of its own, which keeps the freed memory. An exception in a helper is
+    raised here with its own type, and a helper that dies raises
+    ``BrokenProcessPool``.
     """
     n = len(data.images)
     if n == 0:
         raise ShapeError("error_rate needs a nonempty dataset")
     processes = worker_count(n)
-    helpers = fork_pool(processes - 1, data) if processes > 1 else nullcontext()
+    helpers = fork_pool(processes - 1, data, params) if processes > 1 else nullcontext()
     with helpers as pool:
-        return split_errors(params, data, processes, pool) / n
+        return split_errors(params, data, processes, pool, inherited=True) / n

@@ -31,12 +31,22 @@ L2NORM_EPS = 1e-12
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Zero-pad ``x`` for a same-size convolution and unfold it into a
-    (H*W, kh*kw*Cin) patch matrix."""
+    (H*W, kh*kw*Cin) patch matrix.
+
+    The windows are a strided view of the padded input with shape
+    (H, W, kh, kw*Cin): window (i, j) row u is the one contiguous run of
+    kw*Cin floats that starts at padded[i + u, j], so column
+    (u*kw + v)*Cin + c of patch row i*W + j holds padded[i + u, j + v, c].
+    The final reshape is the one copy of the windows; with a 1x1 kernel,
+    whose windows do not overlap, it copies nothing.
+    """
     h, w, cin = x.shape
     oh, ow = (kh - 1) // 2, (kw - 1) // 2
     padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.float64)
     padded[oh:oh + h, ow:ow + w] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw, cin))
+    row, col, item = padded.strides
+    windows = np.ndarray((h, w, kh, kw * cin), np.float64, buffer=padded,
+                         strides=(row, col, row, item))
     return windows.reshape(h * w, kh * kw * cin)
 
 
@@ -107,7 +117,11 @@ def maxpool(x: np.ndarray, size: int = 4) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (pooled, argmax) where argmax holds the flat row-major
     in-block index of each winner. Ties go to the first index in
-    row-major scan, which np.argmax guarantees.
+    row-major scan, which np.argmax guarantees. pooled is the block
+    maximum, bit for bit the value at argmax, with one exception: a
+    block whose maximum is a zero of both signs may pool to either sign.
+    The model pools ReLU outputs, which hold no -0.0 (np.maximum(-0.0,
+    0.0) is +0.0), so it never meets that case.
     """
     h, w, m = x.shape
     if h % size or w % size:
@@ -117,9 +131,7 @@ def maxpool(x: np.ndarray, size: int = 4) -> tuple[np.ndarray, np.ndarray]:
     blocks = (x.reshape(hb, size, wb, size, m)
                .transpose(0, 2, 1, 3, 4)
                .reshape(hb, wb, size * size, m))
-    argmax = blocks.argmax(axis=2)
-    pooled = np.take_along_axis(blocks, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-    return pooled, argmax
+    return blocks.max(axis=2), blocks.argmax(axis=2)
 
 
 def maxpool_grad(grad_out: np.ndarray, argmax: np.ndarray, size: int = 4) -> np.ndarray:
@@ -127,7 +139,8 @@ def maxpool_grad(grad_out: np.ndarray, argmax: np.ndarray, size: int = 4) -> np.
     argmax position; every other input position receives zero."""
     hb, wb, m = grad_out.shape
     blocks = np.zeros((hb, wb, size * size, m), dtype=np.float64)
-    np.put_along_axis(blocks, argmax[:, :, None, :], grad_out[:, :, None, :], axis=2)
+    blocks[np.arange(hb)[:, None, None], np.arange(wb)[:, None], argmax,
+           np.arange(m)] = grad_out
     return (blocks.reshape(hb, wb, size, size, m)
                   .transpose(0, 2, 1, 3, 4)
                   .reshape(hb * size, wb * size, m))
@@ -150,7 +163,7 @@ def relu_grad(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
 def l2norm_pixel(z: np.ndarray, eps: float = L2NORM_EPS) -> np.ndarray:
     """Rescale each spatial position's channel vector to unit L2 norm,
     dividing by max(norm, eps) so all-zero pixels stay zero."""
-    norms = np.sqrt(np.sum(z * z, axis=2, keepdims=True))
+    norms = np.sqrt((z * z).sum(axis=2, keepdims=True))
     return z / np.maximum(norms, eps)
 
 
@@ -162,18 +175,18 @@ def l2norm_pixel_grad(grad_out: np.ndarray, z: np.ndarray,
     ||z|| > eps, and plain 1/eps scaling otherwise (the forward map is
     linear there).
     """
-    norms = np.sqrt(np.sum(z * z, axis=2, keepdims=True))
+    norms = np.sqrt((z * z).sum(axis=2, keepdims=True))
     safe = np.maximum(norms, eps)
     zhat = z / safe
-    projected = grad_out - zhat * np.sum(zhat * grad_out, axis=2, keepdims=True)
+    projected = grad_out - zhat * (zhat * grad_out).sum(axis=2, keepdims=True)
     return np.where(norms > eps, projected / safe, grad_out / eps)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Probability vector exp(y - max y) / sum exp(y - max y)."""
-    shifted = logits - np.max(logits)
+    shifted = logits - logits.max()
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / e.sum()
 
 
 def softmax_grad(grad_out: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -144,7 +144,9 @@ class _Workers:
 
     def error_rate(self, params: Params, which: int) -> float:
         """``error_rate`` on the training (0) or test (1) set, split over
-        this call's processes rather than a pool of its own."""
+        this call's processes rather than a pool of its own. Each task
+        carries ``params``, which change every step, after the helpers
+        forked."""
         data = self.datasets[which]
         return split_errors(params, data, self.count, self.pool, which) / len(data)
 

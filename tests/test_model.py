@@ -5,8 +5,10 @@ import pytest
 from reconv import (ArchConfig, Dataset, ShapeError, error_rate, forward,
                     init_params, loss_and_grads, make_synthetic, nll,
                     predict_class, untie, zeros_like_params)
-from reconv import ops, pool
+from reconv import model, ops, pool
+from reconv.gradcheck import check_model_grads
 from reconv.model import count_errors
+from test_ops import REFERENCE_OPS
 
 
 def tiny_cfg(m=4, l=3, tied=True, size=8):
@@ -261,3 +263,73 @@ def test_error_rate_empty_dataset_raises():
     params = init_params(tiny_cfg(), seed=0)
     with pytest.raises(ShapeError):
         error_rate(params, _dataset(np.zeros((0, 8, 8, 3)), np.zeros(0, dtype=int)))
+
+
+# ---------------------------------------------------------------------------
+# bit identity with numpy's generic constructions
+
+
+def test_forward_logits_bit_identical_to_tensordot():
+    rng = np.random.default_rng(13)
+    for cfg in (tiny_cfg(m=2, l=2), tiny_cfg(m=3, l=4, tied=False), ArchConfig(4, 1)):
+        params = generic_params(cfg, seed=5)
+        params.classifier_bias = rng.normal(0, 0.1, params.classifier_bias.shape)
+        tape = forward(params, random_image(cfg, seed=1))
+        expected = params.classifier_bias + np.tensordot(
+            tape.normalized, params.classifier, axes=3)
+        assert np.array_equal(tape.logits, expected)
+
+
+def test_classifier_cotangent_bit_identical_to_tensordot(monkeypatch):
+    cotangents = []
+    original = ops.l2norm_pixel_grad
+
+    def recorded(grad_out, z, *args):
+        cotangents.append(grad_out)
+        return original(grad_out, z, *args)
+
+    monkeypatch.setattr(ops, "l2norm_pixel_grad", recorded)
+    for cfg in (tiny_cfg(m=2, l=2), tiny_cfg(m=3, l=4, tied=False), ArchConfig(4, 1)):
+        params = generic_params(cfg, seed=6)
+        image, label = random_image(cfg, seed=2), 3
+        loss_and_grads(params, image, label)
+        dlogits = forward(params, image).probs.copy()
+        dlogits[label] -= 1.0
+        expected = np.tensordot(params.classifier, dlogits, axes=([3], [0]))
+        assert np.array_equal(cotangents.pop(), expected)
+
+
+@pytest.mark.parametrize("cfg", [tiny_cfg(m=2, l=2, tied=True),
+                                 tiny_cfg(m=3, l=4, tied=False)])
+def test_loss_grads_and_gradcheck_bit_identical_with_generic_ops(monkeypatch, cfg):
+    params = generic_params(cfg, seed=7)
+    rng = np.random.default_rng(8)
+    images = rng.uniform(0.0, 1.0, (3, cfg.input_h, cfg.input_w, cfg.input_channels))
+    labels = [1, 4, 9]
+    loss, grads = loss_and_grads(params, images, labels)
+    report = check_model_grads(cfg, seed=0)
+
+    calls = dict.fromkeys(REFERENCE_OPS, 0)
+    with monkeypatch.context() as patch:
+        for name, reference in REFERENCE_OPS.items():
+            def counted(*args, name=name, reference=reference):
+                calls[name] += 1
+                return reference(*args)
+            patch.setattr(ops, name, counted)
+        ref_loss, ref_grads = loss_and_grads(params, images, labels)
+        ref_report = check_model_grads(cfg, seed=0)
+
+    assert all(calls.values()), calls
+    assert loss == ref_loss
+    for (name, g), (_, ref) in zip(grads.tensors(), ref_grads.tensors()):
+        assert np.array_equal(g, ref), name
+    assert report == ref_report
+
+
+def test_hot_path_calls_no_generic_numpy_wrapper():
+    # Tier-1 cannot see timing; these wrappers cost more than the
+    # arithmetic of an 8x8 forward pass, so keep them off the hot path.
+    wrappers = {"sliding_window_view", "tensordot", "take_along_axis", "put_along_axis"}
+    for fn in (ops._im2col, ops.maxpool, ops.maxpool_grad,
+               model.forward, model._gradient_terms):
+        assert not wrappers & set(fn.__code__.co_names), fn.__name__

@@ -285,3 +285,138 @@ def test_all_primitives_finite_on_finite_inputs():
     assert np.all(np.isfinite(ops.l2norm_pixel(x)))
     assert np.all(np.isfinite(ops.softmax(x[0, 0])))
     assert np.all(np.isfinite(ops.l2norm_pixel(np.zeros((4, 4, 2)))))
+
+
+# ---------------------------------------------------------------------------
+# bit identity with numpy's generic constructions
+#
+# The ops build their windows, pool winners and reductions directly; these
+# reference copies use numpy's generic helpers for the same arithmetic,
+# and every result must match them bit for bit.
+
+
+def im2col_reference(x, kh, kw):
+    h, w, cin = x.shape
+    oh, ow = (kh - 1) // 2, (kw - 1) // 2
+    padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.float64)
+    padded[oh:oh + h, ow:ow + w] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw, cin))
+    return windows.reshape(h * w, kh * kw * cin)
+
+
+def maxpool_reference(x, size=4):
+    h, w, m = x.shape
+    if h % size or w % size:
+        raise ShapeError(f"spatial extent {(h, w)} not divisible by pool size {size}")
+    hb, wb = h // size, w // size
+    blocks = (x.reshape(hb, size, wb, size, m)
+               .transpose(0, 2, 1, 3, 4)
+               .reshape(hb, wb, size * size, m))
+    argmax = blocks.argmax(axis=2)
+    pooled = np.take_along_axis(blocks, argmax[:, :, None, :], axis=2)[:, :, 0, :]
+    return pooled, argmax
+
+
+def maxpool_grad_reference(grad_out, argmax, size=4):
+    hb, wb, m = grad_out.shape
+    blocks = np.zeros((hb, wb, size * size, m), dtype=np.float64)
+    np.put_along_axis(blocks, argmax[:, :, None, :], grad_out[:, :, None, :], axis=2)
+    return (blocks.reshape(hb, wb, size, size, m)
+                  .transpose(0, 2, 1, 3, 4)
+                  .reshape(hb * size, wb * size, m))
+
+
+def l2norm_pixel_reference(z, eps=ops.L2NORM_EPS):
+    norms = np.sqrt(np.sum(z * z, axis=2, keepdims=True))
+    return z / np.maximum(norms, eps)
+
+
+def l2norm_pixel_grad_reference(grad_out, z, eps=ops.L2NORM_EPS):
+    norms = np.sqrt(np.sum(z * z, axis=2, keepdims=True))
+    safe = np.maximum(norms, eps)
+    zhat = z / safe
+    projected = grad_out - zhat * np.sum(zhat * grad_out, axis=2, keepdims=True)
+    return np.where(norms > eps, projected / safe, grad_out / eps)
+
+
+def softmax_reference(logits):
+    shifted = logits - np.max(logits)
+    e = np.exp(shifted)
+    return e / np.sum(e)
+
+
+# ops attribute -> reference copy, for putting the generic forms back
+REFERENCE_OPS = {
+    "_im2col": im2col_reference,
+    "maxpool": maxpool_reference,
+    "maxpool_grad": maxpool_grad_reference,
+    "l2norm_pixel": l2norm_pixel_reference,
+    "l2norm_pixel_grad": l2norm_pixel_grad_reference,
+    "softmax": softmax_reference,
+}
+
+
+@pytest.mark.parametrize("kh,kw", [(1, 3), (2, 4), (3, 3), (4, 4), (8, 8)])
+@pytest.mark.parametrize("cin", [1, 3, 16])
+@pytest.mark.parametrize("h,w", [(2, 2), (6, 4), (32, 32)])
+def test_im2col_bit_identical_to_sliding_window_view(kh, kw, cin, h, w):
+    x = np.random.default_rng([kh, kw, cin, h, w]).standard_normal((h, w, cin))
+    cols = ops._im2col(x, kh, kw)
+    assert cols.shape == (h * w, kh * kw * cin)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, im2col_reference(x, kh, kw))
+
+
+@pytest.mark.parametrize("h,w,m,size", [(8, 8, 16, 4), (32, 32, 3, 4), (4, 6, 2, 2)])
+def test_maxpool_bit_identical_to_take_along_axis(h, w, m, size):
+    x = np.random.default_rng([h, w, m]).standard_normal((h, w, m))
+    x[:size, :size, 0] = 1.25                       # a constant block: all tied
+    x[:size, -size:, -1] = 0.0                      # a zero block, the ReLU case
+    for pooled_input in (x, ops.relu(x)):
+        pooled, argmax = ops.maxpool(pooled_input, size)
+        ref_pooled, ref_argmax = maxpool_reference(pooled_input, size)
+        assert np.array_equal(pooled, ref_pooled)
+        assert np.array_equal(argmax, ref_argmax)
+        assert pooled.flags.c_contiguous
+
+
+def test_maxpool_with_a_nan_matches_take_along_axis():
+    x = np.random.default_rng(9).standard_normal((8, 8, 3))
+    x[1, 2, 1] = np.nan
+    pooled, argmax = ops.maxpool(x)
+    ref_pooled, ref_argmax = maxpool_reference(x)
+    assert np.isnan(pooled[0, 0, 1])
+    assert np.array_equal(pooled, ref_pooled, equal_nan=True)
+    assert np.array_equal(argmax, ref_argmax)
+
+
+def test_relu_outputs_no_negative_zero():
+    # maxpool's block maximum equals the value at argmax unless a block
+    # holds zeros of both signs; the model only pools ReLU outputs
+    out = ops.relu(np.array([-0.0, 0.0, -1.0] * 7))
+    assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("h,w,m,size", [(8, 8, 16, 4), (32, 32, 3, 4), (4, 6, 2, 2)])
+def test_maxpool_grad_bit_identical_to_put_along_axis(h, w, m, size):
+    rng = np.random.default_rng([h, w, m, size])
+    _, argmax = ops.maxpool(rng.standard_normal((h, w, m)), size)
+    g = rng.standard_normal((h // size, w // size, m))
+    g[0, 0, 0] = -0.0
+    grad = ops.maxpool_grad(g, argmax, size)
+    ref = maxpool_grad_reference(g, argmax, size)
+    assert np.array_equal(grad, ref)
+    assert np.array_equal(np.signbit(grad), np.signbit(ref))
+
+
+def test_l2norm_softmax_and_adjoint_bit_identical_to_np_sum_and_max():
+    rng = np.random.default_rng(12)
+    for shape in [(2, 2, 1), (8, 8, 16), (2, 2, 64)]:
+        z = rng.standard_normal(shape)
+        z[0, 0] = 0.0                               # the eps branch
+        g = rng.standard_normal(shape)
+        assert np.array_equal(ops.l2norm_pixel(z), l2norm_pixel_reference(z))
+        assert np.array_equal(ops.l2norm_pixel_grad(g, z),
+                              l2norm_pixel_grad_reference(g, z))
+    for logits in [rng.standard_normal(10) * 30, np.array([800.0, 0.0, -3.0])]:
+        assert np.array_equal(ops.softmax(logits), softmax_reference(logits))

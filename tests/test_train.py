@@ -3,12 +3,13 @@ import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reconv import (ArchConfig, EpochRecord, NumericError, ShapeError,
+from reconv import (ArchConfig, EpochRecord, NumericError, Params, ShapeError,
                     TrainConfig, TrainState, error_rate, init_params,
                     loss_and_grads, make_synthetic, metrics_csv, minibatches,
                     model, pool, sgd_momentum_step, train, zeros_like_params)
@@ -300,6 +301,39 @@ def count_pools(monkeypatch):
 
         monkeypatch.setattr(module, "fork_pool", counted)
     return started
+
+
+def submitted_arguments(monkeypatch):
+    """The arguments of every task submitted to the pools that ``train``
+    and ``error_rate`` fork, in order."""
+    seen = []
+    for module in (train_module, model):
+        @contextmanager
+        def recorded(workers, *shared, fork_pool=module.fork_pool):
+            with fork_pool(workers, *shared) as helpers:
+                submit = helpers.submit
+
+                def record(fn, *args):
+                    seen.append(args)
+                    return submit(fn, *args)
+
+                helpers.submit = record
+                yield helpers
+
+        monkeypatch.setattr(module, "fork_pool", recorded)
+    return seen
+
+
+def test_error_rate_helpers_inherit_the_parameters_instead_of_unpickling_them(monkeypatch):
+    params, data = init_params(small_arch(feature_maps=3), seed=0), make_synthetic(9, seed=2)
+    # a random classifier, so that predictions depend on the parameters
+    params.classifier = np.random.default_rng(1).normal(0, 0.5, params.classifier.shape)
+    serial = error_rate(params, data)
+    use_cores(monkeypatch, 3)
+    seen = submitted_arguments(monkeypatch)
+    assert error_rate(params, data) == serial
+    assert len(seen) == 2
+    assert not any(isinstance(arg, Params) for args in seen for arg in args)
 
 
 def test_train_evaluates_on_its_own_helpers_without_a_second_pool(monkeypatch):
