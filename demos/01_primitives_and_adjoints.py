@@ -2,9 +2,9 @@
 
 The whole network is built from stride-one "same" convolution, 4x4 max
 pooling, ReLU, pixel-wise L2 normalization, and softmax. Each primitive
-ships with the exact vector-Jacobian product the backward pass chains
-together, and every one of them can be cross-checked against central
-finite differences.
+but softmax, which the model fuses with its loss, ships with the exact
+vector-Jacobian product the backward pass chains together, and every one
+of them can be cross-checked against central finite differences.
 
 Run:  python3 demos/01_primitives_and_adjoints.py
 """

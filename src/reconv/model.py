@@ -101,16 +101,20 @@ class Params:
     def scalar_count(self) -> int:
         return sum(arr.size for _, arr in self.tensors())
 
-    def copy(self) -> "Params":
+    def _map(self, fn) -> "Params":
+        """A Params of ``fn`` applied to every tensor."""
         return Params(
             config=self.config,
-            first_kernels=self.first_kernels.copy(),
-            first_bias=self.first_bias.copy(),
-            hidden_kernels=[k.copy() for k in self.hidden_kernels],
-            hidden_biases=[b.copy() for b in self.hidden_biases],
-            classifier=self.classifier.copy(),
-            classifier_bias=self.classifier_bias.copy(),
+            first_kernels=fn(self.first_kernels),
+            first_bias=fn(self.first_bias),
+            hidden_kernels=[fn(k) for k in self.hidden_kernels],
+            hidden_biases=[fn(b) for b in self.hidden_biases],
+            classifier=fn(self.classifier),
+            classifier_bias=fn(self.classifier_bias),
         )
+
+    def copy(self) -> "Params":
+        return self._map(np.ndarray.copy)
 
 
 # Gradients are shape-congruent with Params, so the same container serves.
@@ -118,15 +122,7 @@ Grads = Params
 
 
 def zeros_like_params(params: Params) -> Params:
-    return Params(
-        config=params.config,
-        first_kernels=np.zeros_like(params.first_kernels),
-        first_bias=np.zeros_like(params.first_bias),
-        hidden_kernels=[np.zeros_like(k) for k in params.hidden_kernels],
-        hidden_biases=[np.zeros_like(b) for b in params.hidden_biases],
-        classifier=np.zeros_like(params.classifier),
-        classifier_bias=np.zeros_like(params.classifier_bias),
-    )
+    return params._map(np.zeros_like)
 
 
 def init_params(config: ArchConfig, seed: int) -> Params:
@@ -162,15 +158,10 @@ def untie(params: Params) -> Params:
     if not params.config.tied:
         return params.copy()
     cfg = replace(params.config, tied=False)
-    return Params(
-        config=cfg,
-        first_kernels=params.first_kernels.copy(),
-        first_bias=params.first_bias.copy(),
-        hidden_kernels=[params.hidden_kernels[0].copy() for _ in range(cfg.layers)],
-        hidden_biases=[params.hidden_biases[0].copy() for _ in range(cfg.layers)],
-        classifier=params.classifier.copy(),
-        classifier_bias=params.classifier_bias.copy(),
-    )
+    # one reference per layer to the shared pair, each then copied
+    return replace(params, config=cfg,
+                   hidden_kernels=params.hidden_kernels * cfg.layers,
+                   hidden_biases=params.hidden_biases * cfg.layers).copy()
 
 
 @dataclass
@@ -232,29 +223,17 @@ def _check_label(cfg: ArchConfig, label: int) -> None:
         raise ShapeError(f"label {label} outside [0, {cfg.classes})")
 
 
-# Slots of the tensors in Params.tensors() order: stem kernel and bias,
-# then a (kernel, bias) pair per stored hidden copy, then the classifier.
-_FIRST_KERNELS, _FIRST_BIAS, _CLASSIFIER, _CLASSIFIER_BIAS = 0, 1, -2, -1
-
-
-def _hidden_slots(copy: int) -> tuple[int, int]:
-    """Slots of one hidden copy's kernel and bias."""
-    return 2 + 2 * copy, 3 + 2 * copy
-
-
-def _gradient_terms(params: Params, tape: Tape,
-                    label: int) -> Iterator[tuple[int, np.ndarray]]:
-    """One example's gradient terms as (slot, term) pairs, slot indexing
-    ``Params.tensors()``, in the order ``_backward_into`` adds them. A
-    tied kernel and bias get one term per application."""
+def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> float:
+    """Accumulate one example's gradients into ``grads``; returns its loss.
+    A tied kernel and bias get one addition per application."""
     cfg = params.config
 
     # Softmax + NLL fuse to probs - onehot(label).
     dlogits = tape.probs.copy()
     dlogits[label] -= 1.0
 
-    yield _CLASSIFIER_BIAS, dlogits
-    yield _CLASSIFIER, tape.normalized[:, :, :, None] * dlogits
+    grads.classifier_bias += dlogits
+    grads.classifier += tape.normalized[:, :, :, None] * dlogits
     # np.tensordot(classifier, dlogits, axes=([3], [0])) without its
     # wrapper: the same dot of the same (N, K) and (K, 1) matrices.
     dnorm = params.classifier.reshape(-1, cfg.classes).dot(
@@ -263,30 +242,18 @@ def _gradient_terms(params: Params, tape: Tape,
 
     for layer in reversed(range(cfg.layers)):
         i = params.kernel_index(layer)
-        kernel_slot, bias_slot = _hidden_slots(i)
         da = ops.relu_grad(dz, tape.hidden[layer + 1])
-        yield bias_slot, da.sum(axis=(0, 1))
-        yield kernel_slot, ops.conv2d_same_kernel_grad(
+        grads.hidden_biases[i] += da.sum(axis=(0, 1))
+        grads.hidden_kernels[i] += ops.conv2d_same_kernel_grad(
             tape.hidden[layer], da, (cfg.hidden_kernel, cfg.hidden_kernel))
         dz = ops.conv2d_same_input_grad(da, params.hidden_kernels[i])
 
     dpre = ops.maxpool_grad(dz, tape.pool_argmax, cfg.pool)
     da0 = ops.relu_grad(dpre, tape.pre_pool)
-    yield _FIRST_BIAS, da0.sum(axis=(0, 1))
-    yield _FIRST_KERNELS, ops.conv2d_same_kernel_grad(
+    grads.first_bias += da0.sum(axis=(0, 1))
+    grads.first_kernels += ops.conv2d_same_kernel_grad(
         tape.image, da0, (cfg.first_kernel, cfg.first_kernel))
     # The gradient w.r.t. the image itself is never needed.
-
-
-def _add_terms(grads: Params, terms) -> None:
-    slots = [g for _, g in grads.tensors()]
-    for slot, term in terms:
-        slots[slot] += term
-
-
-def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> float:
-    """Accumulate one example's gradients into ``grads``; returns its loss."""
-    _add_terms(grads, _gradient_terms(params, tape, label))
     return _nll(tape.logits, label)
 
 
@@ -306,52 +273,48 @@ def _as_batch(params: Params, images, labels) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
+# Examples per block of a batch sum; fixed, so that the sum does not
+# depend on how many processes compute the blocks.
+BLOCK = 16
+
+
+def block_sums(params: Params, images: np.ndarray,
+               labels) -> Iterator[tuple[float, Params]]:
+    """(loss, gradients) summed over each block of ``BLOCK`` consecutive
+    examples, the last block possibly shorter, for the arguments of
+    ``loss_and_grads``. Each block is summed in example order from zero."""
+    images, labels = _as_batch(params, images, labels)
+    for start in range(0, images.shape[0], BLOCK):
+        grads = zeros_like_params(params)
+        total = 0.0
+        for i in range(start, min(start + BLOCK, images.shape[0])):
+            tape = forward(params, images[i])
+            total += _backward_into(params, tape, int(labels[i]), grads)
+        yield total, grads
+
+
+def add_block_sums(total: float, grads: Params, blocks) -> float:
+    """Add ``block_sums`` output onto a running loss total, returned, and
+    onto ``grads`` in place, block by block."""
+    for loss, block in blocks:
+        total += loss
+        for (_, g), (_, b) in zip(grads.tensors(), block.tensors()):
+            g += b
+    return total
+
+
 def loss_and_grads(params: Params, images: np.ndarray,
                    labels) -> tuple[float, Params]:
     """Summed NLL loss and gradients for one example or a minibatch.
 
     ``images`` may be a single (H, W, C) image with an integer label or an
-    (N, H, W, C) stack with N labels. Losses and gradients are summed over
-    examples in index order, matching the summed-gradient update rule.
+    (N, H, W, C) stack with N labels. The sum is the block sums
+    (``block_sums``) added in block order from zero, so a batch cut on
+    block edges sums bit for bit as one, whatever computed its blocks.
     """
-    images, labels = _as_batch(params, images, labels)
     grads = zeros_like_params(params)
-    total = 0.0
-    for i in range(images.shape[0]):
-        tape = forward(params, images[i])
-        total += _backward_into(params, tape, int(labels[i]), grads)
+    total = add_block_sums(0.0, grads, block_sums(params, images, labels))
     return total, grads
-
-
-ExampleTerms = tuple[float, list[tuple[int, np.ndarray]]]
-
-
-def loss_terms(params: Params, images: np.ndarray, labels) -> list[ExampleTerms]:
-    """Each example's loss and gradient terms, unsummed, in index order,
-    for the arguments of ``loss_and_grads``.
-
-    ``add_loss_terms`` adds them onto ``loss_and_grads`` of the examples
-    just before these with the very floating-point additions that one
-    ``loss_and_grads`` call over all of them makes, so a minibatch split
-    into contiguous chunks sums bit for bit as one.
-    """
-    images, labels = _as_batch(params, images, labels)
-    examples = []
-    for i in range(images.shape[0]):
-        tape = forward(params, images[i])
-        label = int(labels[i])
-        examples.append((_nll(tape.logits, label),
-                         list(_gradient_terms(params, tape, label))))
-    return examples
-
-
-def add_loss_terms(total: float, grads: Params, examples: list[ExampleTerms]) -> float:
-    """Add ``loss_terms`` output onto a running loss total, returned, and
-    onto ``grads`` in place, example by example."""
-    for loss, terms in examples:
-        _add_terms(grads, terms)
-        total += loss
-    return total
 
 
 def predict_class(params: Params, image: np.ndarray) -> int:

@@ -2,10 +2,12 @@
 
 Five operations are enough to build the whole model: stride-one "same"
 convolution, non-overlapping max pooling, ReLU, pixel-wise L2
-normalization, and softmax. Every forward function here is paired with
-the adjoint (vector-Jacobian product) the hand-written backward pass
-uses, so the gradient of any composition can be assembled by chaining
-them in reverse.
+normalization, and softmax. Every forward function but softmax is paired
+with the adjoint (vector-Jacobian product) the hand-written backward
+pass uses, so the gradient of any composition can be assembled by
+chaining them in reverse. Softmax needs none: the model fuses it with
+the NLL loss, whose gradient with respect to the logits is
+probs - onehot(label).
 
 Conventions:
     * activations are float64 arrays of shape (H, W, C),
@@ -188,8 +190,3 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     e = np.exp(shifted)
     return e / e.sum()
 
-
-def softmax_grad(grad_out: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Adjoint of softmax, expressed via its output:
-    probs * (g - <g, probs>)."""
-    return probs * (grad_out - np.dot(grad_out, probs))

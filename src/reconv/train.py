@@ -8,23 +8,23 @@ The update is exactly
 note the gradient is the minibatch SUM, not the mean, so the effective
 step size scales with batch size. Runs are fully deterministic given
 (arch, data, config, seed): initialization is seeded, shuffling is keyed
-by (shuffle_seed, epoch), and per-example gradients reduce in example
-index order.
+by (shuffle_seed, epoch), and gradients reduce in a fixed order.
 
 One ``train`` call uses every available core (``pool.worker_count``):
 it forks one helper process per core beyond the first for the length of
-the call. Each minibatch is cut into one contiguous chunk per process.
-This process takes the first chunk, whose ``loss_and_grads`` are exactly
-the partial sums the serial loop holds after those examples. Every later
-chunk comes back from its helper as ``model.loss_terms``, each example's
-loss and gradient terms unsummed, and this process adds them onto the
-partial sums one example at a time, in index order. Every floating-point
-addition thus happens in the serial loop's order, and records and
+the call. ``loss_and_grads`` defines a minibatch's sum by fixed blocks
+of ``model.BLOCK`` examples: each block summed in example order, the
+block sums added in block order. Each minibatch is cut on block edges
+into one contiguous run of blocks per process, or fewer if there are
+fewer blocks. This process takes the first run, through one
+``loss_and_grads`` call; every later run comes back from its helper as
+``model.block_sums``, which this process adds on in block order. Block
+edges do not depend on the number of processes, so records and
 parameters are bit for bit the same whatever the number of cores.
 Evaluations go through ``model.split_errors``, the split that
 ``error_rate`` uses, on this call's helpers rather than a pool of their
-own, and add integer error counts. A minibatch with fewer examples than
-processes runs here alone.
+own, and add integer error counts. A minibatch of one block runs here
+alone.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 
 from .data import Dataset, minibatches
 from .errors import NumericError, ShapeError
-from .model import (ArchConfig, Params, add_loss_terms, init_params, loss_and_grads,
-                    loss_terms, split_errors, zeros_like_params)
+from .model import (BLOCK, ArchConfig, Params, add_block_sums, block_sums, init_params,
+                    loss_and_grads, split_errors, zeros_like_params)
 from .pool import fork_pool, shared, worker_count
 from .table import csv_text
 
@@ -115,9 +115,9 @@ def sgd_momentum_step(params: Params, grads: Params, state: TrainState,
     return params, state
 
 
-def _helper_terms(params: Params, idx: np.ndarray) -> list:
+def _helper_blocks(params: Params, idx: np.ndarray) -> list[tuple[float, Params]]:
     data = shared()[0]
-    return loss_terms(params, data.images[idx], data.labels[idx])
+    return list(block_sums(params, data.images[idx], data.labels[idx]))
 
 
 class _Workers:
@@ -133,13 +133,17 @@ class _Workers:
     def loss_and_grads(self, params: Params, idx: np.ndarray) -> tuple[float, Params]:
         """``loss_and_grads`` of the training examples ``idx``."""
         data = self.datasets[0]
-        if self.pool is None or len(idx) < self.count:
+        blocks = -(-len(idx) // BLOCK)
+        parts = min(self.count, blocks)
+        if self.pool is None or parts < 2:
             return loss_and_grads(params, data.images[idx], data.labels[idx])
-        own, *later = np.array_split(idx, self.count)
-        futures = [self.pool.submit(_helper_terms, params, chunk) for chunk in later]
+        edges = [BLOCK * (blocks * part // parts) for part in range(parts + 1)]
+        futures = [self.pool.submit(_helper_blocks, params, idx[start:stop])
+                   for start, stop in zip(edges[1:-1], edges[2:])]
+        own = idx[:edges[1]]
         total, grads = loss_and_grads(params, data.images[own], data.labels[own])
         for future in futures:
-            total = add_loss_terms(total, grads, future.result())
+            total = add_block_sums(total, grads, future.result())
         return total, grads
 
     def error_rate(self, params: Params, which: int) -> float:

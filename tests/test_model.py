@@ -188,6 +188,30 @@ def test_batch_loss_and_grads_sum_over_examples():
         npt.assert_allclose(a, b, rtol=1e-14, atol=1e-18)
 
 
+@pytest.mark.parametrize("n", [1, 16, 17, 40, 64])
+def test_batch_sum_is_the_left_fold_of_its_blocks(n):
+    # The contract train's helpers rely on: a batch cut on BLOCK edges,
+    # its parts summed apart and added in order, sums bit for bit as one.
+    cfg = tiny_cfg(m=3, l=2)
+    params = generic_params(cfg, seed=9)
+    rng = np.random.default_rng(1)
+    images = rng.uniform(0, 1, (n, 8, 8, 3))
+    labels = rng.integers(10, size=n)
+    batch_loss, batch_grads = loss_and_grads(params, images, labels)
+
+    block = model.BLOCK
+    total, acc = loss_and_grads(params, images[:block], labels[:block])
+    for start in range(block, n, block):
+        loss_b, g_b = loss_and_grads(params, images[start:start + block],
+                                     labels[start:start + block])
+        total += loss_b
+        for (_, a), (_, g) in zip(acc.tensors(), g_b.tensors()):
+            a += g
+    assert batch_loss == total
+    for (name, a), (_, b) in zip(acc.tensors(), batch_grads.tensors()):
+        assert np.array_equal(a, b), name
+
+
 def test_label_out_of_range_raises():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
@@ -331,5 +355,5 @@ def test_hot_path_calls_no_generic_numpy_wrapper():
     # arithmetic of an 8x8 forward pass, so keep them off the hot path.
     wrappers = {"sliding_window_view", "tensordot", "take_along_axis", "put_along_axis"}
     for fn in (ops._im2col, ops.maxpool, ops.maxpool_grad,
-               model.forward, model._gradient_terms):
+               model.forward, model._backward_into):
         assert not wrappers & set(fn.__code__.co_names), fn.__name__

@@ -262,14 +262,6 @@ def test_softmax_shift_invariance_and_simplex():
         npt.assert_allclose(ops.softmax(y + 37.5), p, rtol=1e-12)
 
 
-def test_softmax_adjoint_matches_finite_differences():
-    rng = np.random.default_rng(13)
-    y = rng.standard_normal(6)
-    g = rng.standard_normal(6)
-    fd = finite_diff(lambda t: np.vdot(ops.softmax(t), g), y.copy())
-    npt.assert_allclose(ops.softmax_grad(g, ops.softmax(y)), fd, rtol=1e-6, atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # cross-cutting
 

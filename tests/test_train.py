@@ -212,6 +212,8 @@ def use_cores(monkeypatch, n):
     (False, 3, 37, 8, 11),
     (True, 1, 10, 4, 2),      # final batch and test set smaller than 3 workers
     (False, 2, 9, 2, 5),      # batch size below the core count; final batch of 1
+    (True, 2, 90, 40, 11),    # blocks of 16, 16 and 8; final batch of 10
+    (False, 1, 70, 64, 5),    # 4 full blocks
 ])
 def test_train_on_any_core_count_equals_the_serial_loop(monkeypatch, workers, tied,
                                                         layers, n, batch, n_test):
