@@ -7,6 +7,14 @@ therefore (a) moves the evaluation point away from kinks (bias shift,
 small kernel jitter, a random classifier so conv gradients are nonzero)
 and (b) detects any coordinate whose +/-eps evaluations straddle a kink,
 skipping it and reporting the skip count.
+
+Each evaluation is one ``forward`` call. A tensor's first evaluation is a
+full pass; every later one resumes, from that first tape, at the first
+stage that reads the tensor (``model.first_stages``), because the stages
+before it cannot change when the tensor does. A hidden coordinate thus
+skips the stem and pooling, and a classifier coordinate recomputes only
+the logits. Each evaluation computes the same values by the same
+operations as a full pass, so the reports are those of full passes.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericError
-from .model import ArchConfig, Params, _nll, forward, init_params, loss_and_grads, untie
+from .model import (ArchConfig, Params, Tape, _nll, first_stages, forward, init_params,
+                    loss_and_grads, untie)
 from .table import csv_text
 
 REL_ERR_FLOOR = 1e-8
@@ -26,6 +35,11 @@ REL_ERR_FLOOR = 1e-8
 
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
 def _central_differences(theta: np.ndarray, eps: float,
@@ -49,10 +63,9 @@ def finite_diff(f: Callable[[np.ndarray], float], theta: np.ndarray,
     """Central-difference gradient estimate, one coordinate at a time.
 
     ``theta`` is perturbed in place and restored; ``f`` is called with the
-    same array object each time.
+    same array object each time. ``eps`` must be finite and positive.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     grad = np.zeros_like(theta, dtype=np.float64)
     gflat = grad.reshape(-1)
     for i, fp, fm in _central_differences(theta, eps, lambda: f(theta)):
@@ -106,14 +119,30 @@ class GradReport:
         return "\n".join(lines)
 
 
-def _kink_signature(tape) -> bytes:
-    """Discrete state of the piecewise-linear forward pass: ReLU sign
-    masks and pooling winners. If it differs between the +eps and -eps
-    evaluations, the secant crosses a kink. The parts' shapes are fixed
-    by the architecture, so equal bytes mean equal parts."""
-    parts = [tape.pre_pool > 0, tape.pool_argmax]
-    parts.extend(h > 0 for h in tape.hidden[1:])
+def _kink_signature(tape: Tape, start: int) -> bytes:
+    """Discrete state of the piecewise-linear forward pass from stage
+    ``start`` on: ReLU sign masks and pooling winners. If it differs
+    between the +eps and -eps evaluations, the secant crosses a kink.
+    Earlier stages are the same arrays in both tapes, so they cannot
+    differ. The parts' shapes are fixed by the architecture, so equal
+    bytes mean equal parts."""
+    parts = [tape.pre_pool > 0, tape.pool_argmax] if start == 0 else []
+    parts.extend(h > 0 for h in tape.hidden[max(start, 1):])
     return b"".join(part.tobytes() for part in parts)
+
+
+def _evaluations(params: Params, image: np.ndarray, start: int) -> Callable[[], Tape]:
+    """One ``forward`` call per call: the first a full pass, every later
+    one resumed at ``start`` from the first one's tape."""
+    first = None
+
+    def evaluate() -> Tape:
+        nonlocal first
+        if first is None:
+            first = forward(params, image)
+            return first
+        return forward(params, image, first, start)
+    return evaluate
 
 
 def _check_point(config: ArchConfig, seed: int) -> tuple[Params, np.ndarray, int]:
@@ -145,25 +174,30 @@ def check_model_grads(config: ArchConfig, seed: int, tol: float = 1e-4,
 
     For tied models the report additionally verifies that the shared
     kernel/bias gradients equal the sum of the per-layer gradients of the
-    weight-equal untied model.
+    weight-equal untied model. ``eps`` must be finite and positive.
     """
+    _check_eps(eps)
     params, image, label = _check_point(config, seed)
     _, analytic = loss_and_grads(params, image, label)
 
     checks = []
-    for (name, theta), (_, grad) in zip(params.tensors(), analytic.tensors()):
+    for (name, theta), (_, grad), start in zip(params.tensors(), analytic.tensors(),
+                                               first_stages(config)):
         gflat = grad.reshape(-1)
         max_err = 0.0
         skipped = 0
         for i, tape_p, tape_m in _central_differences(
-                theta, eps, lambda: forward(params, image)):
-            if _kink_signature(tape_p) != _kink_signature(tape_m):
+                theta, eps, _evaluations(params, image, start)):
+            if _kink_signature(tape_p, start) != _kink_signature(tape_m, start):
                 skipped += 1
                 continue
             fp = _nll(tape_p.logits, label)
             fm = _nll(tape_m.logits, label)
             estimate = (fp - fm) / (2.0 * eps)
-            max_err = max(max_err, relative_error(estimate, gflat[i]))
+            err = relative_error(estimate, gflat[i])
+            # a NaN error stays the maximum, so the tensor fails
+            if err > max_err or math.isnan(err):
+                max_err = err
         checks.append(TensorCheck(name=name, max_rel_err=max_err,
                                   passed=max_err < tol, skipped=skipped))
 

@@ -177,24 +177,46 @@ class Tape:
     probs: np.ndarray            # K, sums to 1
 
 
-def forward(params: Params, image: np.ndarray) -> Tape:
-    """Run the network on one image and record the full activation tape."""
-    cfg = params.config
-    image = np.asarray(image, dtype=np.float64)
-    expected = (cfg.input_h, cfg.input_w, cfg.input_channels)
-    if image.shape != expected:
-        raise ShapeError(f"expected image shape {expected}, got {image.shape}")
+def forward(params: Params, image: np.ndarray, tape: Tape | None = None,
+            start: int = 0) -> Tape:
+    """Run the network on one image and record the full activation tape.
 
-    pre_pool = ops.relu(ops.conv2d_same(image, params.first_kernels) + params.first_bias)
-    pooled, argmax = ops.maxpool(pre_pool, cfg.pool)
-    hidden = [pooled]
-    for layer in range(cfg.layers):
+    The pass is a chain of stages: stage 0 is the stem convolution, ReLU
+    and pooling, stage 1 + l is hidden layer l (the last one also
+    normalizes its output), and stage ``layers + 1`` is the classifier's
+    logits and softmax. Given a ``tape`` of the same image and a ``start``
+    stage, every stage before ``start`` is taken unchanged from that tape
+    and only the rest is computed, by the same operations as a full pass.
+    ``image`` is then not read. The result equals a full pass wherever the
+    parameters those earlier stages read (``first_stages``) are those the
+    tape was recorded with.
+    """
+    cfg = params.config
+    if not 0 <= start <= cfg.layers + 1:
+        raise ValueError(f"start stage must be in [0, {cfg.layers + 1}], got {start}")
+    if start == 0:
+        image = np.asarray(image, dtype=np.float64)
+        expected = (cfg.input_h, cfg.input_w, cfg.input_channels)
+        if image.shape != expected:
+            raise ShapeError(f"expected image shape {expected}, got {image.shape}")
+        pre_pool = ops.relu(ops.conv2d_same(image, params.first_kernels) + params.first_bias)
+        pooled, argmax = ops.maxpool(pre_pool, cfg.pool)
+        hidden = [pooled]
+    elif tape is None:
+        raise ValueError(f"resuming at stage {start} needs a tape")
+    else:
+        image, pre_pool, argmax = tape.image, tape.pre_pool, tape.pool_argmax
+        hidden = tape.hidden[:start]
+    for layer in range(len(hidden) - 1, cfg.layers):
         i = params.kernel_index(layer)
         z = ops.relu(
             ops.conv2d_same(hidden[-1], params.hidden_kernels[i])
             + params.hidden_biases[i])
         hidden.append(z)
-    normalized = ops.l2norm_pixel(hidden[-1])
+    if start <= cfg.layers:
+        normalized = ops.l2norm_pixel(hidden[-1])
+    else:
+        normalized = tape.normalized
     # np.tensordot(normalized, classifier, axes=3) without its wrapper:
     # the same dot of the same (1, N) and (N, K) matrices, so the same bits.
     logits = params.classifier_bias + normalized.reshape(1, -1).dot(
@@ -202,6 +224,16 @@ def forward(params: Params, image: np.ndarray) -> Tape:
     probs = ops.softmax(logits)
     return Tape(image=image, pre_pool=pre_pool, pool_argmax=argmax,
                 hidden=hidden, normalized=normalized, logits=logits, probs=probs)
+
+
+def first_stages(config: ArchConfig) -> list[int]:
+    """The first ``forward`` stage that reads each tensor, in the order of
+    ``Params.tensors()``: 0 for the stem, 1 for a tied hidden pair, 1 + i
+    for untied pair i, and ``layers + 1`` for the classifier."""
+    stages = [0, 0]
+    for i in range(config.hidden_copies):
+        stages += [1 + i, 1 + i]
+    return stages + [config.layers + 1] * 2
 
 
 def nll(params: Params, image: np.ndarray, label: int) -> float:

@@ -46,6 +46,15 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
     assert all(r[2] == "true" for r in rows[1:])
 
 
+@pytest.mark.parametrize("eps", ["nan", "0", "-1e-5", "inf"])
+def test_gradcheck_bad_eps_is_a_config_error_and_writes_no_report(tmp_path, eps):
+    out = tmp_path / "gc"
+    # --eps=VALUE: argparse would read a separate "-1e-5" as an option
+    assert run(["gradcheck", "--m", "2", "--l", "1", f"--eps={eps}",
+                "--out", str(out)]) == 3
+    assert not (out / "gradcheck.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from reconv import ArchConfig, NumericError, check_model_grads, finite_diff, forward
-from reconv import gradcheck, ops
-from reconv.gradcheck import relative_error
+from reconv import gradcheck, model, ops
+from reconv.gradcheck import GradReport, TensorCheck, relative_error
 
 
 def test_finite_diff_square():
@@ -102,3 +102,118 @@ def test_check_model_grads_at_a_saturated_softmax(monkeypatch):
     params, image, label = saturated(config, 0)
     assert forward(params, image).probs[label] == 0.0
     assert check_model_grads(config, 0).passed
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1e-5, float("inf")])
+def test_a_bad_eps_is_rejected(eps):
+    # a nan eps makes every difference nan, an inf one every difference 0
+    config = ArchConfig(feature_maps=2, layers=1, tied=True, input_h=8, input_w=8)
+    with pytest.raises(ValueError, match="eps"):
+        check_model_grads(config, 0, eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        finite_diff(lambda t: 1.0, np.zeros(1), eps=eps)
+
+
+def test_a_nan_in_an_analytic_gradient_fails_the_check(monkeypatch):
+    # one NaN per kernel gradient; untied, so no tied-sum check can catch it
+    true_grad = ops.conv2d_same_kernel_grad
+
+    def one_nan(x, g, extent):
+        grad = true_grad(x, g, extent)
+        grad.flat[grad.size // 2] = np.nan
+        return grad
+
+    monkeypatch.setattr(ops, "conv2d_same_kernel_grad", one_nan)
+    config = ArchConfig(feature_maps=3, layers=2, tied=False, input_h=8, input_w=8)
+    report = check_model_grads(config, 0)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("first_kernels", "hidden_kernels[0]", "hidden_kernels[1]"):
+        assert np.isnan(by_name[name].max_rel_err), name
+        assert not by_name[name].passed, name
+    assert by_name["first_bias"].passed and by_name["classifier"].passed
+    assert not report.passed
+    assert "overall: FAIL" in str(report)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_one_forward_call_per_evaluation(monkeypatch, tied):
+    # the benchmark's traced run counts gradcheck.forward calls: 2 per coordinate
+    config = ArchConfig(feature_maps=2, layers=3, tied=tied, input_h=8, input_w=8)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(gradcheck, "forward", counted)
+    check_model_grads(config, 0)
+    params, _, _ = gradcheck._check_point(config, 0)
+    assert len(calls) == 2 * params.scalar_count()
+    # the first evaluation of each tensor is a full pass, every other one resumes
+    full = [i for i, args in enumerate(calls) if len(args) == 2]
+    sizes = [theta.size for _, theta in params.tensors()]
+    assert full == [2 * sum(sizes[:t]) for t in range(len(sizes))]
+
+
+def _full_forward_report(config, seed, tol=1e-4, eps=1e-5):
+    """``check_model_grads`` as it was before resumed evaluations: every
+    evaluation a full forward pass, the kink signature over every stage."""
+    params, image, label = gradcheck._check_point(config, seed)
+    _, analytic = model.loss_and_grads(params, image, label)
+
+    def signature(tape):
+        parts = [tape.pre_pool > 0, tape.pool_argmax]
+        parts.extend(h > 0 for h in tape.hidden[1:])
+        return b"".join(part.tobytes() for part in parts)
+
+    checks = []
+    for (name, theta), (_, grad) in zip(params.tensors(), analytic.tensors()):
+        gflat = grad.reshape(-1)
+        max_err = 0.0
+        skipped = 0
+        for i, tape_p, tape_m in gradcheck._central_differences(
+                theta, eps, lambda: model.forward(params, image)):
+            if signature(tape_p) != signature(tape_m):
+                skipped += 1
+                continue
+            fp = model._nll(tape_p.logits, label)
+            fm = model._nll(tape_m.logits, label)
+            estimate = (fp - fm) / (2.0 * eps)
+            max_err = max(max_err, relative_error(estimate, gflat[i]))
+        checks.append(TensorCheck(name=name, max_rel_err=max_err,
+                                  passed=max_err < tol, skipped=skipped))
+
+    tied_sum_rel_err = None
+    if config.tied:
+        unrolled = model.untie(params)
+        _, unrolled_grads = model.loss_and_grads(unrolled, image, label)
+        kernel_sum = np.sum(unrolled_grads.hidden_kernels, axis=0)
+        bias_sum = np.sum(unrolled_grads.hidden_biases, axis=0)
+        tied_sum_rel_err = max(
+            gradcheck._max_elementwise_rel_err(analytic.hidden_kernels[0], kernel_sum),
+            gradcheck._max_elementwise_rel_err(analytic.hidden_biases[0], bias_sum))
+    return GradReport(checks=checks, tolerance=tol, tied_sum_rel_err=tied_sum_rel_err)
+
+
+@pytest.mark.parametrize("m,layers,tied,eps", [(2, 2, True, 1e-5), (3, 4, False, 1e-5),
+                                               (16, 2, True, 1e-5), (3, 3, False, 0.1)])
+def test_report_equals_the_full_forward_report(m, layers, tied, eps):
+    # eps=0.1 straddles kinks, so the reports hold skips in stem and hidden tensors
+    config = ArchConfig(feature_maps=m, layers=layers, tied=tied, input_h=8, input_w=8)
+    report = check_model_grads(config, 0, eps=eps)
+    assert report == _full_forward_report(config, 0, eps=eps)
+    if eps == 0.1:
+        assert all(c.skipped for c in report.checks[:4])
+
+
+def test_report_at_a_saturated_softmax_equals_the_full_forward_report(monkeypatch):
+    check_point = gradcheck._check_point
+
+    def saturated(config, seed):
+        params, image, label = check_point(config, seed)
+        params.classifier_bias[(label + 1) % config.classes] += 800.0
+        return params, image, label
+
+    monkeypatch.setattr(gradcheck, "_check_point", saturated)
+    config = ArchConfig(feature_maps=2, layers=2, tied=True, input_h=8, input_w=8)
+    assert check_model_grads(config, 0) == _full_forward_report(config, 0)

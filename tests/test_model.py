@@ -123,6 +123,56 @@ def test_forward_wrong_shape_raises():
         forward(params, np.zeros((4, 4, 3)))
 
 
+def _stage_outputs(tape):
+    """The tape's fields grouped by the forward stage that writes them."""
+    last = len(tape.hidden) - 1
+    return ([[tape.pre_pool, tape.pool_argmax, tape.hidden[0]]]
+            + [[tape.hidden[layer]] for layer in range(1, last)]
+            + [[tape.hidden[last], tape.normalized], [tape.logits, tape.probs]])
+
+
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_resumed_forward_equals_the_full_pass(tied, layers):
+    cfg = tiny_cfg(m=3, l=layers, tied=tied)
+    params = generic_params(cfg, seed=5)
+    image = random_image(cfg, seed=6)
+    base = forward(params, image)
+    tensors = list(params.tensors())
+    stages = model.first_stages(cfg)
+    assert len(stages) == len(tensors)
+    for (name, theta), start in zip(tensors, stages):
+        flat = theta.reshape(-1)
+        first_changed = []
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + 1e-3
+            full = forward(params, image)
+            resumed = forward(params, image, base, start)
+            flat[i] = orig
+            assert np.array_equal(resumed.image, full.image)
+            for a, b in zip(_stage_outputs(resumed), _stage_outputs(full)):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b)), (name, i)
+            # brute force: the first stage whose outputs the perturbation changes
+            changed = [not all(np.array_equal(x, y) for x, y in zip(old, new))
+                       for old, new in zip(_stage_outputs(base), _stage_outputs(full))]
+            first_changed.append(changed.index(True) if any(changed) else len(changed))
+        assert min(first_changed) == start, name
+
+
+def test_resumed_forward_rejects_a_bad_start():
+    cfg = tiny_cfg(m=2, l=2)
+    params = generic_params(cfg)
+    image = random_image(cfg)
+    tape = forward(params, image)
+    for start in (-1, 4):
+        with pytest.raises(ValueError):
+            forward(params, image, tape, start)
+    with pytest.raises(ValueError):
+        forward(params, image, None, 1)
+    assert np.array_equal(forward(params, image, tape, 3).logits, tape.logits)
+
+
 # ---------------------------------------------------------------------------
 # loss and gradients
 
