@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .table import csv_text
 from .train import TrainConfig, metrics_csv, train
 
 EXIT_USAGE, EXIT_CONFIG, EXIT_DATA_FORMAT, EXIT_NUMERIC = 2, 3, 4, 5
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf|infinity|nan)", re.I)
 
 _COMMON = {"out": "out", "timing": "none"}
 _ARCH = {"m": "16", "l": "2", "tied": "false", "sigma_v": "0.1",
@@ -163,9 +165,24 @@ def _resolve_data_path(path: str, data_dir: str) -> Path:
     return resolved
 
 
+def _files(cfg: dict[str, str], source: str, *keys: str) -> list[Path]:
+    """The data files that ``keys`` name, each of which ``source`` requires."""
+    for key in keys:
+        if not cfg[key]:
+            raise ConfigError(f"{source} requires {key}")
+    return [_resolve_data_path(cfg[key], cfg["data_dir"]) for key in keys]
+
+
+def _listed(cfg: dict[str, str], source: str, key: str) -> list[str]:
+    """The comma-separated files of ``cfg[key]``, which ``source`` requires."""
+    paths = [p for p in cfg[key].split(",") if p.strip()]
+    if not paths:
+        raise ConfigError(f"{source} requires {key}")
+    return paths
+
+
 def _load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     source = cfg["dataset"]
-    data_dir = cfg["data_dir"]
     if source == "synthetic":
         noise = _to_float(cfg, "synth_noise")
         return (make_synthetic(_to_int(cfg, "synth_train"),
@@ -173,23 +190,15 @@ def _load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
                 make_synthetic(_to_int(cfg, "synth_test"),
                                _to_int(cfg, "synth_test_seed"), noise=noise))
     if source == "cifar10":
-        def batch(listing: str, key: str) -> Dataset:
-            paths = [p for p in listing.split(",") if p.strip()]
-            if not paths:
-                raise ConfigError(f"dataset=cifar10 requires {key}")
-            return load_cifar10([_resolve_data_path(p, data_dir) for p in paths])
-        return batch(cfg["train_files"], "train_files"), batch(cfg["test_files"], "test_files")
+        return tuple(load_cifar10([_resolve_data_path(p, cfg["data_dir"])
+                                   for p in _listed(cfg, "dataset=cifar10", key)])
+                     for key in ("train_files", "test_files"))
     if source == "raw":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if not cfg[key]:
-                raise ConfigError(f"dataset=raw requires {key}")
+        files = _files(cfg, "dataset=raw", "train_images", "train_labels",
+                       "test_images", "test_labels")
         classes = _to_int(cfg, "classes") if "classes" in cfg else 10
-        return (load_raw(_resolve_data_path(cfg["train_images"], data_dir),
-                         _resolve_data_path(cfg["train_labels"], data_dir),
-                         _to_int(cfg, "n_train"), classes),
-                load_raw(_resolve_data_path(cfg["test_images"], data_dir),
-                         _resolve_data_path(cfg["test_labels"], data_dir),
-                         _to_int(cfg, "n_test"), classes))
+        return (load_raw(*files[:2], _to_int(cfg, "n_train"), classes),
+                load_raw(*files[2:], _to_int(cfg, "n_test"), classes))
     raise ConfigError(f"dataset must be synthetic, cifar10 or raw, got {source!r}")
 
 
@@ -284,23 +293,15 @@ def cmd_contours(cfg: dict[str, str]) -> int:
 
 
 def cmd_convert_check(cfg: dict[str, str]) -> int:
-    data_dir = cfg["data_dir"]
     checked: list[tuple[str, int, int]] = []  # (path, records, classes)
     if cfg["format"] == "raw":
-        for key in ("images", "labels"):
-            if not cfg[key]:
-                raise ConfigError(f"format=raw requires {key}")
-        data = load_raw(_resolve_data_path(cfg["images"], data_dir),
-                        _resolve_data_path(cfg["labels"], data_dir),
+        data = load_raw(*_files(cfg, "format=raw", "images", "labels"),
                         _to_int(cfg, "n"), _to_int(cfg, "classes"))
         checked = [(cfg["images"], len(data), data.num_classes),
                    (cfg["labels"], len(data), data.num_classes)]
     elif cfg["format"] == "cifar10":
-        paths = [p for p in cfg["files"].split(",") if p.strip()]
-        if not paths:
-            raise ConfigError("format=cifar10 requires files")
-        for p in paths:
-            data = load_cifar10([_resolve_data_path(p, data_dir)])
+        for p in _listed(cfg, "format=cifar10", "files"):
+            data = load_cifar10([_resolve_data_path(p, cfg["data_dir"])])
             checked.append((p, len(data), data.num_classes))
     else:
         raise ConfigError(f"format must be raw or cifar10, got {cfg['format']!r}")
@@ -342,10 +343,25 @@ def _overrides_from(args: argparse.Namespace) -> dict[str, str]:
             if name.startswith("key_") and value is not None}
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e-5`` as ``--flag=-1e-5``: argparse reads a separate
+    value that starts with '-' as an option unless it looks like ``-1`` or
+    ``-0.5``, so ``-1e-5`` or ``-inf`` would never reach the config checks."""
+    args: list[str] = []
+    for token in argv:
+        if (_NEGATIVE_NUMBER.fullmatch(token) and args and args[-1].startswith("--")
+                and "=" not in args[-1]):
+            args[-1] += "=" + token
+        else:
+            args.append(token)
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         # argparse already printed a usage message
         return int(exc.code or 0)

@@ -150,7 +150,8 @@ def run_experiment(spec: ExperimentSpec, train_data: Dataset,
                    test_data: Dataset) -> ExperimentResult:
     """Train every cell of ``spec`` with every seed.
 
-    Each (cell, seed) pair is one task. The tasks run on
+    Each (cell, seed) pair is one task, a repeated seed counting once,
+    as a repeated M or L does. The tasks run on
     ``pool.worker_count(tasks)`` forked worker processes, or in this
     process when that is one; every cell is seeded, so the results are
     the same either way. A cell that fails on its input or numerics
@@ -161,7 +162,7 @@ def run_experiment(spec: ExperimentSpec, train_data: Dataset,
     execution order.
     """
     tasks = [(tied, m, l, seed) for tied, m, l in _cell_descriptors(spec)
-             for seed in spec.seeds]
+             for seed in dict.fromkeys(spec.seeds)]
     # Largest cells first, so that no long cell starts last while the
     # other workers sit idle.
     tasks.sort(key=lambda task: _conv_macs(task[1], task[2]), reverse=True)

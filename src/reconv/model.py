@@ -14,7 +14,6 @@ sum over all of its applications.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .errors import ShapeError
-from .pool import fork_pool, shared, worker_count
+from .pool import helpers, shared
 
 
 @dataclass(frozen=True)
@@ -360,62 +359,32 @@ def count_errors(params: Params, images: np.ndarray, labels: np.ndarray) -> int:
                for image, label in zip(images, labels))
 
 
-def _helper_errors(params: Params | None, which: int, start: int, stop: int) -> int:
-    """``count_errors`` of examples ``start:stop`` of ``shared()[which]``,
-    in a ``fork_pool`` worker, with ``params`` or, where that is None,
-    with the parameters the pool was given last (``shared()[-1]``)."""
-    data = shared()[which]
-    if params is None:
-        params = shared()[-1]
+def _helper_errors(start: int, stop: int) -> int:
+    """``count_errors`` of examples ``start:stop``, in a helper of
+    ``error_rate``, which inherited (data, params)."""
+    data, params = shared()
     return count_errors(params, data.images[start:stop], data.labels[start:stop])
-
-
-def split_errors(params: Params, data, processes: int, helpers,
-                 which: int = 0, inherited: bool = False) -> int:
-    """``count_errors`` over every example of ``data``, cut into one
-    contiguous chunk per process, or fewer if there are fewer examples.
-
-    This process classifies the first chunk while ``helpers``, a
-    ``fork_pool`` of ``processes - 1`` workers that inherited ``data`` as
-    ``shared()[which]``, classify the others. Each helper task carries
-    ``params``, unless ``inherited`` says the helpers were given them as
-    the pool's last shared object; then a task is only its slice bounds.
-    Without helpers, this process classifies them all. The counts are
-    integers, so the total is the same on any number of processes.
-    """
-    if helpers is None:
-        return count_errors(params, data.images, data.labels)
-    n = len(data.images)
-    parts = min(processes, n)
-    # slices, not index arrays, so that no chunk's images are copied
-    edges = [n * part // parts for part in range(parts + 1)]
-    sent = None if inherited else params
-    futures = [helpers.submit(_helper_errors, sent, which, start, stop)
-               for start, stop in zip(edges[1:-1], edges[2:])]
-    wrong = count_errors(params, data.images[:edges[1]], data.labels[:edges[1]])
-    return wrong + sum(future.result() for future in futures)
 
 
 def error_rate(params: Params, data) -> float:
     """Fraction of examples whose predicted class differs from the label.
 
-    The examples are split (``split_errors``) over
-    ``pool.worker_count(len(data))`` processes: this one and helpers
-    forked for the length of the call. Forking and joining them takes
-    about 30 ms in a 250 MB process, as long as some 30 forward passes at
-    32x32, so on a few dozen images or fewer a call is slower than on one
-    core. With one core, where the platform cannot fork, or in a pool
-    worker, everything runs in this process. The result is the same
-    either way. The helpers inherit ``params`` with the data, so no task
-    pickles them: the pool's feeder thread would do that in a malloc arena
-    of its own, which keeps the freed memory. An exception in a helper is
-    raised here with its own type, and a helper that dies raises
+    The examples are split over this process and its helpers
+    (``pool.helpers``). Error counts are integers, so the result is the
+    same on any number of processes. Forking and joining the helpers takes
+    about 30 ms in a 250 MB process, so on a few dozen images or fewer a
+    call is slower than on one core. An exception in a helper is raised
+    here with its own type, and a helper that dies raises
     ``BrokenProcessPool``.
     """
     n = len(data.images)
     if n == 0:
         raise ShapeError("error_rate needs a nonempty dataset")
-    processes = worker_count(n)
-    helpers = fork_pool(processes - 1, data, params) if processes > 1 else nullcontext()
-    with helpers as pool:
-        return split_errors(params, data, processes, pool, inherited=True) / n
+    # The helpers inherit params with the data, so no task pickles them:
+    # the pool's feeder thread would do that in a malloc arena of its own,
+    # which keeps the freed memory (2 MB of the depth-sweep benchmark's
+    # peak resident set).
+    with helpers(n, data, params) as (_, split):
+        end, futures = split(n, _helper_errors)
+        wrong = count_errors(params, data.images[:end], data.labels[:end])
+        return (wrong + sum(future.result() for future in futures)) / n

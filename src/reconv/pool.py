@@ -1,9 +1,10 @@
 """Forked worker processes, shared by sweeps, training and evaluation.
 
 One rule decides how many processes a job uses, and one pool type runs
-them. The pool forks, so the datasets a job hands it are inherited by
-every worker rather than pickled; only task arguments and results cross
-a process boundary. A worker that dies (killed by the kernel's OOM
+them. A job that shares ranges of work with helpers for its own length
+(``helpers``) cuts every range by one rule too. The pool forks, so the
+datasets a job hands it are inherited by every worker rather than
+pickled; only task arguments and results cross a process boundary. A worker that dies (killed by the kernel's OOM
 killer, say) makes every unfinished result raise ``BrokenProcessPool``
 instead of leaving the caller waiting forever.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from functools import partial
 
 # The objects a worker process inherited from fork_pool; empty elsewhere.
 _shared: tuple = ()
@@ -106,3 +108,36 @@ def fork_pool(workers: int, *shared):
 def shared() -> tuple:
     """In a worker of ``fork_pool``, the objects the pool was given."""
     return _shared
+
+
+@contextmanager
+def helpers(tasks: int, *shared):
+    """Yield (processes, split) for a job of ``tasks`` parallel tasks: the
+    ``worker_count(tasks)`` processes are this one and ``processes - 1``
+    helpers of ``fork_pool(processes - 1, *shared)``, open until the block
+    ends.
+
+    ``split(n, fn, *args, step=1)`` cuts ``range(n)``, n >= 1, on
+    multiples of ``step`` into one contiguous run per process, or fewer
+    where there are fewer steps, and submits ``fn(*args, start, stop)`` to
+    the helpers for every run after the first. It returns the first run's
+    end, for this process to do ``range(end)`` itself, and the helpers'
+    futures in run order. With one process it submits nothing and returns
+    ``n``.
+    """
+    processes = worker_count(tasks)
+    if processes == 1:
+        yield 1, partial(_split, None, 1)
+        return
+    with fork_pool(processes - 1, *shared) as pool:
+        yield processes, partial(_split, pool, processes)
+
+
+def _split(pool, processes: int, n: int, fn, *args, step: int = 1):
+    steps = -(-n // step)
+    runs = min(processes, steps)
+    # bounds, not index arrays, so that a helper can slice its run uncopied
+    edges = [min(n, step * (steps * run // runs)) for run in range(runs + 1)]
+    futures = [pool.submit(fn, *args, start, stop)
+               for start, stop in zip(edges[1:-1], edges[2:])]
+    return edges[1], futures

@@ -10,37 +10,30 @@ step size scales with batch size. Runs are fully deterministic given
 (arch, data, config, seed): initialization is seeded, shuffling is keyed
 by (shuffle_seed, epoch), and gradients reduce in a fixed order.
 
-One ``train`` call uses every available core (``pool.worker_count``):
-it forks one helper process per core beyond the first for the length of
-the call. ``loss_and_grads`` defines a minibatch's sum by fixed blocks
-of ``model.BLOCK`` examples: each block summed in example order, the
-block sums added in block order. Each minibatch is cut on block edges
-into one contiguous run of blocks per process, or fewer if there are
-fewer blocks. This process takes the first run, through one
-``loss_and_grads`` call; every later run comes back from its helper as
-``model.block_sums``, which this process adds on in block order. Block
-edges do not depend on the number of processes, so records and
-parameters are bit for bit the same whatever the number of cores.
-Evaluations go through ``model.split_errors``, the split that
-``error_rate`` uses, on this call's helpers rather than a pool of their
-own, and add integer error counts. A minibatch of one block runs here
-alone.
+One ``train`` call uses every available core through ``pool.helpers``,
+whose helpers inherit (train_data, test_data). ``loss_and_grads``
+defines a minibatch's sum by fixed blocks of ``model.BLOCK`` examples:
+each block summed in example order, the block sums added in block
+order. So each minibatch is split on block edges, and the helpers return
+``model.block_sums``. Block edges do not depend on the number of
+processes, so records and parameters are bit for bit the same whatever
+the number of cores. Evaluations are split too, with ``params`` in every
+task, as they change every step, and add integer error counts.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, minibatches
 from .errors import NumericError, ShapeError
-from .model import (BLOCK, ArchConfig, Params, add_block_sums, block_sums, init_params,
-                    loss_and_grads, split_errors, zeros_like_params)
-from .pool import fork_pool, shared, worker_count
+from .model import (BLOCK, ArchConfig, Params, add_block_sums, block_sums, count_errors,
+                    init_params, loss_and_grads, zeros_like_params)
+from .pool import helpers, shared
 from .table import csv_text
 
 
@@ -58,8 +51,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.eval_every < 1:
@@ -115,44 +108,25 @@ def sgd_momentum_step(params: Params, grads: Params, state: TrainState,
     return params, state
 
 
-def _helper_blocks(params: Params, idx: np.ndarray) -> list[tuple[float, Params]]:
+def _helper_blocks(params: Params, idx: np.ndarray, start: int,
+                   stop: int) -> list[tuple[float, Params]]:
+    """``block_sums`` of training examples ``idx[start:stop]``, in a helper."""
     data = shared()[0]
-    return list(block_sums(params, data.images[idx], data.labels[idx]))
+    own = idx[start:stop]
+    return list(block_sums(params, data.images[own], data.labels[own]))
 
 
-class _Workers:
-    """The ``count`` processes one ``train`` call spreads its work over:
-    this one and ``pool``'s forked helpers, which inherited (train_data,
-    test_data). Without a pool everything runs here."""
+def _helper_errors(params: Params, which: int, start: int, stop: int) -> int:
+    """``count_errors`` of examples ``start:stop`` of the training (0) or
+    test (1) set, in a helper."""
+    data = shared()[which]
+    return count_errors(params, data.images[start:stop], data.labels[start:stop])
 
-    def __init__(self, count: int, pool, train_data: Dataset, test_data: Dataset):
-        self.count = count
-        self.pool = pool
-        self.datasets = (train_data, test_data)
 
-    def loss_and_grads(self, params: Params, idx: np.ndarray) -> tuple[float, Params]:
-        """``loss_and_grads`` of the training examples ``idx``."""
-        data = self.datasets[0]
-        blocks = -(-len(idx) // BLOCK)
-        parts = min(self.count, blocks)
-        if self.pool is None or parts < 2:
-            return loss_and_grads(params, data.images[idx], data.labels[idx])
-        edges = [BLOCK * (blocks * part // parts) for part in range(parts + 1)]
-        futures = [self.pool.submit(_helper_blocks, params, idx[start:stop])
-                   for start, stop in zip(edges[1:-1], edges[2:])]
-        own = idx[:edges[1]]
-        total, grads = loss_and_grads(params, data.images[own], data.labels[own])
-        for future in futures:
-            total = add_block_sums(total, grads, future.result())
-        return total, grads
-
-    def error_rate(self, params: Params, which: int) -> float:
-        """``error_rate`` on the training (0) or test (1) set, split over
-        this call's processes rather than a pool of its own. Each task
-        carries ``params``, which change every step, after the helpers
-        forked."""
-        data = self.datasets[which]
-        return split_errors(params, data, self.count, self.pool, which) / len(data)
+def _error_rate(split, params: Params, data: Dataset, which: int) -> float:
+    end, futures = split(len(data), _helper_errors, params, which)
+    wrong = count_errors(params, data.images[:end], data.labels[:end])
+    return (wrong + sum(future.result() for future in futures)) / len(data)
 
 
 def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
@@ -171,17 +145,20 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
     state = TrainState.fresh(params)
     records: list[EpochRecord] = []
     n = len(train_data)
-    count = worker_count(min(cfg.batch_size, n)) if cfg.epochs else 1
-    helpers = fork_pool(count - 1, train_data, test_data) if count > 1 else nullcontext()
+    tasks = min(cfg.batch_size, n) if cfg.epochs else 1
 
-    with helpers as pool:
-        workers = _Workers(count, pool, train_data, test_data)
+    with helpers(tasks, train_data, test_data) as (_, split):
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             epoch_loss = 0.0
             for batch_index, idx in enumerate(
                     minibatches(train_data, cfg.batch_size, cfg.shuffle_seed, epoch)):
-                loss, grads = workers.loss_and_grads(params, idx)
+                end, futures = split(len(idx), _helper_blocks, params, idx, step=BLOCK)
+                own = idx[:end]
+                loss, grads = loss_and_grads(
+                    params, train_data.images[own], train_data.labels[own])
+                for future in futures:
+                    loss = add_block_sums(loss, grads, future.result())
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
@@ -190,8 +167,8 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
             state.epochs_completed = epoch + 1
 
             evaluate = (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-            train_err = workers.error_rate(params, 0) if evaluate else math.nan
-            test_err = workers.error_rate(params, 1) if evaluate else math.nan
+            train_err = _error_rate(split, params, train_data, 0) if evaluate else math.nan
+            test_err = _error_rate(split, params, test_data, 1) if evaluate else math.nan
             records.append(EpochRecord(
                 epoch=epoch,
                 train_loss=epoch_loss / n,

@@ -49,10 +49,17 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize("eps", ["nan", "0", "-1e-5", "inf"])
 def test_gradcheck_bad_eps_is_a_config_error_and_writes_no_report(tmp_path, eps):
     out = tmp_path / "gc"
-    # --eps=VALUE: argparse would read a separate "-1e-5" as an option
-    assert run(["gradcheck", "--m", "2", "--l", "1", f"--eps={eps}",
-                "--out", str(out)]) == 3
+    for value in ([f"--eps={eps}"], ["--eps", eps]):
+        assert run(["gradcheck", "--m", "2", "--l", "1", *value,
+                    "--out", str(out)]) == 3
     assert not (out / "gradcheck.csv").exists()
+
+
+@pytest.mark.parametrize("lr", ["-1e-3", "nan", "inf"])
+def test_train_bad_lr_is_a_config_error(tmp_path, lr):
+    assert run(["train", "--m", "2", "--l", "1", "--lr", lr, "--epochs", "1",
+                "--synth-train", "32", "--synth-test", "16",
+                "--out", str(tmp_path / "t")]) == 3
 
 
 # ---------------------------------------------------------------------------

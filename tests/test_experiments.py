@@ -1,4 +1,3 @@
-import importlib
 import math
 import multiprocessing
 import os
@@ -11,8 +10,6 @@ from reconv import (ArchConfig, CellResult, ExperimentResult, ExperimentSpec,
                     experiments, init_params, make_synthetic, param_count,
                     pool, results_csv, run_experiment, train)
 from reconv.experiments import _cell_descriptors
-
-train_module = importlib.import_module("reconv.train")
 
 
 def spec(kind, m_list, l_list, epochs=0, **kw):
@@ -97,6 +94,13 @@ def test_results_sorted_canonically_and_deterministic():
     assert len(r1.cells) == 16  # 8 cells x 2 seeds
 
 
+def test_repeated_seeds_train_once():
+    train_data, test_data = tiny_data(4), tiny_data(2, 1)
+    once = run_experiment(spec("layers-tied", [2], [1], seeds=(0,)), train_data, test_data)
+    twice = run_experiment(spec("layers-tied", [2], [1], seeds=(0, 0)), train_data, test_data)
+    assert twice.cells == once.cells
+
+
 def test_failed_cells_recorded_and_run_continues():
     s = spec("layers-tied", [2], [1, 2], epochs=1)
     # 8x8 images cannot feed the default 32x32 architecture
@@ -142,7 +146,7 @@ def test_dead_worker_raises_instead_of_hanging(monkeypatch, deadline):
 
 def test_cells_in_workers_start_no_training_helpers(monkeypatch):
     monkeypatch.setattr(pool, "available_cores", lambda: 2)
-    fork_pool, started = train_module.fork_pool, []
+    fork_pool, started = pool.fork_pool, []
 
     def parent_only(workers, *shared):
         if multiprocessing.parent_process() is not None:
@@ -150,7 +154,7 @@ def test_cells_in_workers_start_no_training_helpers(monkeypatch):
         started.append(workers)
         return fork_pool(workers, *shared)
 
-    monkeypatch.setattr(train_module, "fork_pool", parent_only)
+    monkeypatch.setattr(pool, "fork_pool", parent_only)
     s = spec("layers-tied", [2], [1, 2], epochs=1)
     result = run_experiment(s, tiny_data(4), tiny_data(2, 1))
     assert not any(c.error for c in result.cells)

@@ -1,4 +1,3 @@
-import importlib
 import math
 import multiprocessing
 import os
@@ -13,8 +12,6 @@ from reconv import (ArchConfig, EpochRecord, NumericError, Params, ShapeError,
                     TrainConfig, TrainState, error_rate, init_params,
                     loss_and_grads, make_synthetic, metrics_csv, minibatches,
                     model, pool, sgd_momentum_step, train, zeros_like_params)
-
-train_module = importlib.import_module("reconv.train")
 
 
 def small_arch(**kw):
@@ -178,8 +175,9 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, learning_rate=0.0)
+    for lr in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=1, learning_rate=lr)
 
 
 # ---------------------------------------------------------------------------
@@ -293,36 +291,36 @@ def test_error_rate_dead_helper_raises_instead_of_hanging(monkeypatch, deadline)
 def count_pools(monkeypatch):
     """The worker counts of the pools that ``train`` and ``error_rate``
     fork, in order; forking one in a worker process raises instead."""
-    started = []
-    for module in (train_module, model):
-        def counted(workers, *shared, fork_pool=module.fork_pool):
-            if multiprocessing.parent_process() is not None:
-                raise AssertionError("a worker process forked a pool")
-            started.append(workers)
-            return fork_pool(workers, *shared)
+    started, fork_pool = [], pool.fork_pool
 
-        monkeypatch.setattr(module, "fork_pool", counted)
+    def counted(workers, *shared):
+        if multiprocessing.parent_process() is not None:
+            raise AssertionError("a worker process forked a pool")
+        started.append(workers)
+        return fork_pool(workers, *shared)
+
+    monkeypatch.setattr(pool, "fork_pool", counted)
     return started
 
 
 def submitted_arguments(monkeypatch):
     """The arguments of every task submitted to the pools that ``train``
     and ``error_rate`` fork, in order."""
-    seen = []
-    for module in (train_module, model):
-        @contextmanager
-        def recorded(workers, *shared, fork_pool=module.fork_pool):
-            with fork_pool(workers, *shared) as helpers:
-                submit = helpers.submit
+    seen, fork_pool = [], pool.fork_pool
 
-                def record(fn, *args):
-                    seen.append(args)
-                    return submit(fn, *args)
+    @contextmanager
+    def recorded(workers, *shared):
+        with fork_pool(workers, *shared) as helpers:
+            submit = helpers.submit
 
-                helpers.submit = record
-                yield helpers
+            def record(fn, *args):
+                seen.append(args)
+                return submit(fn, *args)
 
-        monkeypatch.setattr(module, "fork_pool", recorded)
+            helpers.submit = record
+            yield helpers
+
+    monkeypatch.setattr(pool, "fork_pool", recorded)
     return seen
 
 
@@ -349,9 +347,10 @@ def test_train_evaluates_on_its_own_helpers_without_a_second_pool(monkeypatch):
 
 def test_error_rate_in_a_pool_worker_forks_nothing(monkeypatch):
     use_cores(monkeypatch, 2)
+    fork_pool = pool.fork_pool
     started = count_pools(monkeypatch)
     params, data = init_params(small_arch(), seed=0), make_synthetic(8, seed=0)
-    with pool.fork_pool(1) as workers:
+    with fork_pool(1) as workers:
         in_worker = workers.submit(error_rate, params, data).result(timeout=60)
     assert started == []
     # the same call outside a worker forks its one helper
