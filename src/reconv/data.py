@@ -20,7 +20,6 @@ whitening is applied anywhere.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,43 +30,72 @@ RECORD_BYTES = 3073          # 1 label byte + 32*32*3 pixel bytes
 PIXELS_PER_IMAGE = 3072
 
 
-@dataclass
 class Dataset:
-    """Labeled images: (N, H, W, 3) float64 pixels in [0, 1] and N class
-    indices in [0, num_classes)."""
+    """Labeled images: N images of (H, W, 3) pixels in [0, 1] and N class
+    indices in [0, num_classes).
 
-    images: np.ndarray
-    labels: np.ndarray
-    num_classes: int = 10
+    ``Dataset(images, labels, num_classes)`` stores float64 pixels. The
+    loaders store the files' byte codes instead, 1 byte per value against
+    8, and scale only the examples a caller asks ``floats`` for, by
+    ``/ 255.0``: the bits of scaling the whole set at once. ``images`` is
+    the whole set as float64; for byte-backed data it is a new copy on
+    each access, so code that walks the examples uses ``floats``.
+    """
 
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.images.ndim != 4 or self.images.shape[3] != 3:
-            raise ShapeError(f"images must be (N, H, W, 3), got {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
+    def __init__(self, images, labels, num_classes: int = 10):
+        self._store(np.asarray(images, dtype=np.float64), labels, num_classes)
+
+    @classmethod
+    def _stored(cls, pixels: np.ndarray, labels, num_classes: int) -> "Dataset":
+        """A dataset holding ``pixels`` as given: float64 values, or uint8
+        codes of value * 255."""
+        data = cls.__new__(cls)
+        data._store(pixels, labels, num_classes)
+        return data
+
+    def _store(self, pixels: np.ndarray, labels, num_classes: int) -> None:
+        self._pixels = pixels
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.num_classes = num_classes
+        if pixels.ndim != 4 or pixels.shape[3] != 3:
+            raise ShapeError(f"images must be (N, H, W, 3), got {pixels.shape}")
+        if self.labels.shape != (pixels.shape[0],):
             raise ShapeError(
-                f"{self.images.shape[0]} images but labels shaped {self.labels.shape}")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+                f"{pixels.shape[0]} images but labels shaped {self.labels.shape}")
+        # byte codes lie in [0, 255] by their type
+        if (pixels.dtype == np.float64 and pixels.size
+                and (pixels.min() < 0.0 or pixels.max() > 1.0)):
             raise ShapeError("pixel values must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise ShapeError(f"labels must lie in [0, {self.num_classes})")
+                                 or self.labels.max() >= num_classes):
+            raise ShapeError(f"labels must lie in [0, {num_classes})")
+
+    def floats(self, index) -> np.ndarray:
+        """The float64 pixels of examples ``index`` (an integer, slice or
+        index array, as for ``labels[index]``); a view of float-backed
+        data where numpy indexing gives one."""
+        pixels = self._pixels[index]
+        return pixels / 255.0 if pixels.dtype == np.uint8 else pixels
+
+    @property
+    def images(self) -> np.ndarray:
+        """All pixels, (N, H, W, 3) float64; see the class docstring."""
+        return self.floats(slice(None))
 
     def __len__(self) -> int:
-        return self.images.shape[0]
+        return self.labels.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(self.images[indices], self.labels[indices], self.num_classes)
+        """The examples ``indices``, stored as this dataset stores them."""
+        return Dataset._stored(self._pixels[indices], self.labels[indices],
+                               self.num_classes)
 
 
-def _planes_to_images(pixel_bytes: np.ndarray) -> np.ndarray:
-    """uint8 channel-planar bytes, 3072 per image -> (n, 32, 32, 3) floats,
-    converted once and scaled in place so only one float copy exists."""
+def _planes_to_codes(pixel_bytes: np.ndarray) -> np.ndarray:
+    """uint8 channel-planar bytes, 3072 per image -> (n, 32, 32, 3) uint8
+    codes, copied into their own contiguous array."""
     planes = pixel_bytes.reshape(-1, 3, 32, 32)
-    images = planes.transpose(0, 2, 3, 1).astype(np.float64)
-    images /= 255.0
-    return images
+    return np.ascontiguousarray(planes.transpose(0, 2, 3, 1))
 
 
 def load_cifar10(paths) -> Dataset:
@@ -75,6 +103,9 @@ def load_cifar10(paths) -> Dataset:
     dataset, preserving record order across files."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
+    paths = list(paths)
+    if not paths:
+        raise ValueError("load_cifar10 needs at least one batch file, got an empty list")
     batches = []
     for path in paths:
         raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
@@ -93,13 +124,10 @@ def load_cifar10(paths) -> Dataset:
                 f"{path}: label byte {batch_labels[bad[0]]} > 9 in record {bad[0]}",
                 record=int(bad[0]))
         batches.append(records)
-    # Join the bytes of every file and drop the per-file buffers, then
-    # convert once: converting per file would hold each file's floats and
-    # their concatenation together.
     records = np.concatenate(batches)
-    del batches
-    return Dataset(_planes_to_images(records[:, 1:]), records[:, 0].astype(np.int64),
-                   num_classes=10)
+    del batches             # free the per-file buffers before the codes are copied
+    return Dataset._stored(_planes_to_codes(records[:, 1:]),
+                           records[:, 0].astype(np.int64), num_classes=10)
 
 
 def load_raw(image_path, label_path, n: int, num_classes: int = 10) -> Dataset:
@@ -121,18 +149,21 @@ def load_raw(image_path, label_path, n: int, num_classes: int = 10) -> Dataset:
         raise FormatError(
             f"{label_path}: label {labels[bad[0]]} >= {num_classes} "
             f"in record {bad[0]}", record=int(bad[0]))
-    images = _planes_to_images(np.frombuffer(image_bytes, dtype=np.uint8))
-    return Dataset(images, labels, num_classes=num_classes)
+    codes = _planes_to_codes(np.frombuffer(image_bytes, dtype=np.uint8))
+    return Dataset._stored(codes, labels, num_classes=num_classes)
 
 
 def save_raw(data: Dataset, image_path, label_path) -> None:
     """Write a dataset in the raw interchange format.
 
     Pixels are quantized to round(value*255), which load_raw inverts
-    exactly, so save -> load -> save round-trips byte-identically.
+    exactly, so save -> load -> save round-trips byte-identically. Loaded
+    data is written from its stored bytes.
     """
-    quantized = np.round(data.images * 255.0).astype(np.uint8)
-    planes = quantized.transpose(0, 3, 1, 2)
+    codes = data._pixels
+    if codes.dtype != np.uint8:
+        codes = np.round(codes * 255.0).astype(np.uint8)
+    planes = codes.transpose(0, 3, 1, 2)
     Path(image_path).write_bytes(planes.tobytes())
     Path(label_path).write_bytes(data.labels.astype(np.uint8).tobytes())
 

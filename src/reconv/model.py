@@ -174,6 +174,7 @@ class Tape:
     normalized: np.ndarray       # pixel-normalized final hidden layer
     logits: np.ndarray           # K
     probs: np.ndarray            # K, sums to 1
+    nll: np.ndarray              # K, -log probs, finite where probs underflows to 0
 
 
 def forward(params: Params, image: np.ndarray, tape: Tape | None = None,
@@ -220,9 +221,9 @@ def forward(params: Params, image: np.ndarray, tape: Tape | None = None,
     # the same dot of the same (1, N) and (N, K) matrices, so the same bits.
     logits = params.classifier_bias + normalized.reshape(1, -1).dot(
         params.classifier.reshape(-1, cfg.classes))[0]
-    probs = ops.softmax(logits)
-    return Tape(image=image, pre_pool=pre_pool, pool_argmax=argmax,
-                hidden=hidden, normalized=normalized, logits=logits, probs=probs)
+    probs, nll = ops.softmax(logits)
+    return Tape(image=image, pre_pool=pre_pool, pool_argmax=argmax, hidden=hidden,
+                normalized=normalized, logits=logits, probs=probs, nll=nll)
 
 
 def first_stages(config: ArchConfig) -> list[int]:
@@ -238,15 +239,7 @@ def first_stages(config: ArchConfig) -> list[int]:
 def nll(params: Params, image: np.ndarray, label: int) -> float:
     """Negative log-likelihood of the true class for one example."""
     _check_label(params.config, label)
-    return _nll(forward(params, image).logits, label)
-
-
-def _nll(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label] as logsumexp(logits) - logits[label],
-    which stays finite when the softmax underflows to 0 at a large logit
-    gap."""
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
+    return float(forward(params, image).nll[label])
 
 
 def _check_label(cfg: ArchConfig, label: int) -> None:
@@ -285,7 +278,7 @@ def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> flo
     grads.first_kernels += ops.conv2d_same_kernel_grad(
         tape.image, da0, (cfg.first_kernel, cfg.first_kernel))
     # The gradient w.r.t. the image itself is never needed.
-    return _nll(tape.logits, label)
+    return float(tape.nll[label])
 
 
 def _as_batch(params: Params, images, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -353,17 +346,24 @@ def predict_class(params: Params, image: np.ndarray) -> int:
     return int(np.argmax(forward(params, image).probs))
 
 
-def count_errors(params: Params, images: np.ndarray, labels: np.ndarray) -> int:
-    """Number of examples whose predicted class differs from the label."""
-    return sum(predict_class(params, image) != int(label)
-               for image, label in zip(images, labels))
+def count_errors(params: Params, data, start: int, stop: int) -> int:
+    """Number of examples ``start:stop`` of ``data`` whose predicted class
+    differs from the label. Pixels are taken ``BLOCK`` examples at a time,
+    so no float copy of the whole range is made."""
+    wrong = 0
+    for lo in range(start, stop, BLOCK):
+        hi = min(lo + BLOCK, stop)
+        images = data.floats(slice(lo, hi))
+        wrong += sum(predict_class(params, image) != int(label)
+                     for image, label in zip(images, data.labels[lo:hi]))
+    return wrong
 
 
 def _helper_errors(start: int, stop: int) -> int:
     """``count_errors`` of examples ``start:stop``, in a helper of
     ``error_rate``, which inherited (data, params)."""
     data, params = shared()
-    return count_errors(params, data.images[start:stop], data.labels[start:stop])
+    return count_errors(params, data, start, stop)
 
 
 def error_rate(params: Params, data) -> float:
@@ -377,7 +377,7 @@ def error_rate(params: Params, data) -> float:
     here with its own type, and a helper that dies raises
     ``BrokenProcessPool``.
     """
-    n = len(data.images)
+    n = len(data)
     if n == 0:
         raise ShapeError("error_rate needs a nonempty dataset")
     # The helpers inherit params with the data, so no task pickles them:
@@ -386,5 +386,5 @@ def error_rate(params: Params, data) -> float:
     # peak resident set).
     with helpers(n, data, params) as (_, split):
         end, futures = split(n, _helper_errors)
-        wrong = count_errors(params, data.images[:end], data.labels[:end])
+        wrong = count_errors(params, data, 0, end)
         return (wrong + sum(future.result() for future in futures)) / n

@@ -184,9 +184,12 @@ def l2norm_pixel_grad(grad_out: np.ndarray, z: np.ndarray,
     return np.where(norms > eps, projected / safe, grad_out / eps)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probability vector exp(y - max y) / sum exp(y - max y)."""
+def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, nll): the probability vector p = exp(s) / sum exp(s) of the
+    shifted logits s = y - max y, and nll = log(sum exp(s)) - s, which is
+    -log p but stays finite where p underflows to 0."""
     shifted = logits - logits.max()
     e = np.exp(shifted)
-    return e / e.sum()
+    total = e.sum()
+    return e / total, np.log(total) - shifted
 

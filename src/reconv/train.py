@@ -108,24 +108,30 @@ def sgd_momentum_step(params: Params, grads: Params, state: TrainState,
     return params, state
 
 
+def _first_nonfinite(grads: Params) -> str:
+    """The name of the first tensor, in ``Params.tensors()`` order, that
+    holds a non-finite value, or "none"."""
+    return next((name for name, g in grads.tensors() if not np.isfinite(g).all()),
+                "none")
+
+
 def _helper_blocks(params: Params, idx: np.ndarray, start: int,
                    stop: int) -> list[tuple[float, Params]]:
     """``block_sums`` of training examples ``idx[start:stop]``, in a helper."""
     data = shared()[0]
     own = idx[start:stop]
-    return list(block_sums(params, data.images[own], data.labels[own]))
+    return list(block_sums(params, data.floats(own), data.labels[own]))
 
 
 def _helper_errors(params: Params, which: int, start: int, stop: int) -> int:
     """``count_errors`` of examples ``start:stop`` of the training (0) or
     test (1) set, in a helper."""
-    data = shared()[which]
-    return count_errors(params, data.images[start:stop], data.labels[start:stop])
+    return count_errors(params, shared()[which], start, stop)
 
 
 def _error_rate(split, params: Params, data: Dataset, which: int) -> float:
     end, futures = split(len(data), _helper_errors, params, which)
-    wrong = count_errors(params, data.images[:end], data.labels[:end])
+    wrong = count_errors(params, data, 0, end)
     return (wrong + sum(future.result() for future in futures)) / len(data)
 
 
@@ -135,7 +141,8 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
 
     Evaluations (train and test error) happen every ``eval_every`` epochs
     and always on the final epoch; skipped epochs record NaN. A non-finite
-    minibatch loss aborts with a diagnostic naming the batch. An exception
+    minibatch loss aborts with a diagnostic naming the epoch, the batch and
+    the first gradient tensor holding a non-finite value. An exception
     in a helper process is raised here with its own type, and a helper
     that dies raises ``BrokenProcessPool``.
     """
@@ -156,12 +163,13 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
                 end, futures = split(len(idx), _helper_blocks, params, idx, step=BLOCK)
                 own = idx[:end]
                 loss, grads = loss_and_grads(
-                    params, train_data.images[own], train_data.labels[own])
+                    params, train_data.floats(own), train_data.labels[own])
                 for future in futures:
                     loss = add_block_sums(loss, grads, future.result())
                 if not math.isfinite(loss):
                     raise NumericError(
-                        f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
+                        f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}; "
+                        f"first non-finite gradient: {_first_nonfinite(grads)}")
                 sgd_momentum_step(params, grads, state, cfg)
                 epoch_loss += loss
             state.epochs_completed = epoch + 1

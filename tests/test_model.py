@@ -327,10 +327,11 @@ def test_error_rate_on_any_core_count_equals_the_serial_count(monkeypatch, cores
     images = np.random.default_rng(4).uniform(0, 1, (n, 8, 8, 3))
     # every odd-numbered example is misclassified, wherever the chunks end
     labels = [(predict_class(params, images[i]) + i % 2) % 10 for i in range(n)]
-    wrong = count_errors(params, images, labels)
+    data = _dataset(images, labels)
+    wrong = count_errors(params, data, 0, n)
     assert wrong == n // 2
     monkeypatch.setattr(pool, "available_cores", lambda: cores)
-    assert error_rate(params, _dataset(images, labels)) == wrong / n
+    assert error_rate(params, data) == wrong / n
 
 
 def test_error_rate_empty_dataset_raises():

@@ -244,22 +244,26 @@ def test_l2norm_adjoint_matches_finite_differences():
 
 
 def test_softmax_uniform():
-    npt.assert_allclose(ops.softmax(np.zeros(2)), [0.5, 0.5], rtol=1e-15)
+    probs, nll = ops.softmax(np.zeros(2))
+    npt.assert_allclose(probs, [0.5, 0.5], rtol=1e-15)
+    npt.assert_allclose(nll, [np.log(2.0)] * 2, rtol=1e-15)
 
 
 def test_softmax_hand_value():
-    npt.assert_allclose(ops.softmax(np.array([np.log(2.0), 0.0])),
-                        [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+    probs, nll = ops.softmax(np.array([np.log(2.0), 0.0]))
+    npt.assert_allclose(probs, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+    npt.assert_allclose(nll, [np.log(1.5), np.log(3.0)], rtol=1e-14)
 
 
 def test_softmax_shift_invariance_and_simplex():
     rng = np.random.default_rng(12)
     for _ in range(20):
         y = rng.standard_normal(10) * 5
-        p = ops.softmax(y)
+        p, nll = ops.softmax(y)
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) < 1e-12
-        npt.assert_allclose(ops.softmax(y + 37.5), p, rtol=1e-12)
+        npt.assert_allclose(nll, -np.log(p), rtol=1e-12)
+        npt.assert_allclose(ops.softmax(y + 37.5)[0], p, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,8 @@ def l2norm_pixel_grad_reference(grad_out, z, eps=ops.L2NORM_EPS):
 def softmax_reference(logits):
     shifted = logits - np.max(logits)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    total = np.sum(e)
+    return e / total, np.log(total) - shifted
 
 
 # ops attribute -> reference copy, for putting the generic forms back
@@ -411,4 +416,5 @@ def test_l2norm_softmax_and_adjoint_bit_identical_to_np_sum_and_max():
         assert np.array_equal(ops.l2norm_pixel_grad(g, z),
                               l2norm_pixel_grad_reference(g, z))
     for logits in [rng.standard_normal(10) * 30, np.array([800.0, 0.0, -3.0])]:
-        assert np.array_equal(ops.softmax(logits), softmax_reference(logits))
+        for got, ref in zip(ops.softmax(logits), softmax_reference(logits)):
+            assert np.array_equal(got, ref)

@@ -8,10 +8,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reconv import (ArchConfig, EpochRecord, NumericError, Params, ShapeError,
-                    TrainConfig, TrainState, error_rate, init_params,
+from reconv import (ArchConfig, Dataset, EpochRecord, NumericError, Params, ShapeError,
+                    TrainConfig, TrainState, error_rate, init_params, load_raw,
                     loss_and_grads, make_synthetic, metrics_csv, minibatches,
-                    model, pool, sgd_momentum_step, train, zeros_like_params)
+                    model, ops, pool, save_raw, sgd_momentum_step, train,
+                    zeros_like_params)
 
 
 def small_arch(**kw):
@@ -236,6 +237,72 @@ def test_nonfinite_loss_names_its_batch_on_two_cores(monkeypatch):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
             train(arch, data, data, cfg, seed=0)
+
+
+def test_nonfinite_loss_names_the_first_nonfinite_gradient(monkeypatch):
+    use_cores(monkeypatch, 2)
+    # NaN logits make the loss and every gradient behind them NaN; with the
+    # pooling adjoint zeroed, the stem's gradients stay finite
+    softmax = ops.softmax
+    monkeypatch.setattr(ops, "softmax", lambda logits: softmax(np.full_like(logits, np.nan)))
+    monkeypatch.setattr(ops, "maxpool_grad", lambda grad, argmax, size: np.zeros(
+        (grad.shape[0] * size, grad.shape[1] * size, grad.shape[2])))
+    with pytest.raises(NumericError, match=r"epoch 0, batch 0; first non-finite "
+                                           r"gradient: hidden_kernels\[0\]$"):
+        train(small_arch(layers=2), make_synthetic(8, seed=0), make_synthetic(4, seed=1),
+              TrainConfig(epochs=1, batch_size=8), seed=0)
+
+
+def loaded(tmp_path, n, seed):
+    """``make_synthetic(n, seed)`` written in the raw format and read back,
+    so its pixels are stored as bytes."""
+    images, labels = tmp_path / f"{n}_{seed}.img", tmp_path / f"{n}_{seed}.lab"
+    save_raw(make_synthetic(n, seed=seed), images, labels)
+    return load_raw(images, labels, n)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_byte_backed_data_trains_and_evaluates_as_its_float_copy(monkeypatch, tmp_path,
+                                                                 cores):
+    use_cores(monkeypatch, cores)
+    arch = small_arch(feature_maps=3, layers=2)
+    data, test = loaded(tmp_path, 37, 0), loaded(tmp_path, 11, 1)
+    copies = [Dataset(d.images, d.labels) for d in (data, test)]
+    cfg = TrainConfig(epochs=2, batch_size=24, learning_rate=1e-4)  # blocks of 16 and 8
+    result = train(arch, data, test, cfg, seed=3)
+    reference = train(arch, *copies, cfg, seed=3)
+    assert result.records == reference.records
+    for (name, a), (_, b) in zip(result.params.tensors(), reference.params.tensors()):
+        assert np.array_equal(a, b), name
+    params = result.params
+    params.classifier = np.random.default_rng(1).normal(0, 0.5, params.classifier.shape)
+    for byte_backed, copy in zip((data, test), copies):
+        assert error_rate(params, byte_backed) == error_rate(params, copy)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_no_conversion_covers_more_than_a_process_share_or_a_block(monkeypatch, tmp_path,
+                                                                   cores):
+    use_cores(monkeypatch, cores)
+    data, test = loaded(tmp_path, 70, 0), loaded(tmp_path, 40, 1)
+    batch = 48
+    blocks = math.ceil(batch / model.BLOCK)
+    share = model.BLOCK * math.ceil(blocks / cores)     # 48 examples on 1 core, 32 on 2
+    sizes, floats = [], Dataset.floats
+
+    def counted(self, index):
+        pixels = floats(self, index)
+        examples = 1 if pixels.ndim == 3 else len(pixels)
+        # raised in a helper too, and then here with its type
+        if examples > max(share, model.BLOCK):
+            raise AssertionError(f"one conversion of {examples} examples")
+        sizes.append(examples)
+        return pixels
+
+    monkeypatch.setattr(Dataset, "floats", counted)
+    result = train(small_arch(), data, test, TrainConfig(epochs=1, batch_size=batch), seed=0)
+    error_rate(result.params, data)
+    assert sizes and max(sizes) == (batch if cores == 1 else model.BLOCK)
 
 
 def in_helpers_only(monkeypatch, action):
