@@ -22,7 +22,6 @@ spec = ExperimentSpec(
     m_list=[8],
     l_list=[1, 2, 4],
     train=TrainConfig(epochs=5, batch_size=64, learning_rate=1e-4, eval_every=5),
-    dataset="synthetic-300",
 )
 
 print(f"training {len(spec.l_list)} tied cells at M=8 on "

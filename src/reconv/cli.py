@@ -143,20 +143,6 @@ def _to_int_list(cfg: dict[str, str], key: str) -> list[int]:
             f"key {key}: expected comma-separated integers, got {cfg[key]!r}") from exc
 
 
-def write_manifest(cfg: dict[str, str], out_dir: Path) -> Path:
-    artifact = ARTIFACTS[cfg["command"]]
-    lines = [
-        f"# reconv {__version__} run manifest",
-        f"# replay: reconv {cfg['command']} --config {out_dir / 'manifest.txt'}",
-        f"# artifacts: {out_dir / artifact}",
-        f"command={cfg['command']}",
-    ]
-    lines += [f"{key}={cfg[key]}" for key in sorted(cfg) if key != "command"]
-    path = out_dir / "manifest.txt"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def _resolve_data_path(path: str, data_dir: str) -> Path:
     root = Path(data_dir) if data_dir else Path(os.environ.get("RECONV_DATA_DIR", "."))
     resolved = Path(path) if Path(path).is_absolute() else root / path
@@ -219,19 +205,28 @@ def _train_cfg_from(cfg: dict[str, str]) -> TrainConfig:
 
 
 def _prepare_out(cfg: dict[str, str]) -> Path:
+    """Create the output directory, write the run's manifest there and
+    return the path of the command's artifact."""
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(cfg, out_dir)
-    return out_dir
+    artifact = out_dir / ARTIFACTS[cfg["command"]]
+    lines = [
+        f"# reconv {__version__} run manifest",
+        f"# replay: reconv {cfg['command']} --config {out_dir / 'manifest.txt'}",
+        f"# artifacts: {artifact}",
+        f"command={cfg['command']}",
+    ]
+    lines += [f"{key}={cfg[key]}" for key in sorted(cfg) if key != "command"]
+    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return artifact
 
 
 def cmd_train(cfg: dict[str, str]) -> int:
     arch = _arch_from(cfg)
     train_cfg = _train_cfg_from(cfg)
     train_data, test_data = _load_datasets(cfg)
-    out_dir = _prepare_out(cfg)
+    path = _prepare_out(cfg)
     result = train(arch, train_data, test_data, train_cfg, _to_int(cfg, "seed"))
-    path = out_dir / ARTIFACTS["train"]
     path.write_text(metrics_csv(result, wall_time=cfg["timing"] == "wall"))
     if result.records:
         last = result.records[-1]
@@ -247,11 +242,10 @@ def cmd_experiment(cfg: dict[str, str]) -> int:
         l_list=_to_int_list(cfg, "l_list"), train=_train_cfg_from(cfg),
         tolerance=_to_float(cfg, "tol"),
         seeds=tuple(_to_int_list(cfg, "seeds")),
-        max_pairs=_to_int(cfg, "max_pairs"), dataset=cfg["dataset"])
+        max_pairs=_to_int(cfg, "max_pairs"))
     train_data, test_data = _load_datasets(cfg)
-    out_dir = _prepare_out(cfg)
+    path = _prepare_out(cfg)
     result = run_experiment(spec, train_data, test_data)
-    path = out_dir / ARTIFACTS["experiment"]
     path.write_text(results_csv(result, wall_time=cfg["timing"] == "wall"))
     failed = sum(1 for c in result.cells if c.error)
     print(f"ran {len(result.cells)} cells ({failed} failed); wrote {path}")
@@ -262,8 +256,7 @@ def cmd_pairs(cfg: dict[str, str]) -> int:
     pairs = match_pairs(_to_int(cfg, "layers"),
                         (_to_int(cfg, "m_min"), _to_int(cfg, "m_max")),
                         _to_float(cfg, "tol"))
-    out_dir = _prepare_out(cfg)
-    path = out_dir / ARTIFACTS["pairs"]
+    path = _prepare_out(cfg)
     path.write_text(pairs_csv(pairs))
     print(f"found {len(pairs)} matched pairs; wrote {path}")
     return 0
@@ -272,8 +265,7 @@ def cmd_pairs(cfg: dict[str, str]) -> int:
 def cmd_gradcheck(cfg: dict[str, str]) -> int:
     report = check_model_grads(_arch_from(cfg), _to_int(cfg, "seed"),
                                tol=_to_float(cfg, "tol"), eps=_to_float(cfg, "eps"))
-    out_dir = _prepare_out(cfg)
-    path = out_dir / ARTIFACTS["gradcheck"]
+    path = _prepare_out(cfg)
     path.write_text(report.to_csv())
     print(report)
     print(f"wrote {path}")
@@ -285,8 +277,7 @@ def cmd_gradcheck(cfg: dict[str, str]) -> int:
 def cmd_contours(cfg: dict[str, str]) -> int:
     rows = emit_contours(_to_int_list(cfg, "m_list"), _to_int_list(cfg, "l_list"),
                          cfg["kind"])
-    out_dir = _prepare_out(cfg)
-    path = out_dir / ARTIFACTS["contours"]
+    path = _prepare_out(cfg)
     path.write_text(contours_csv(rows))
     print(f"wrote {path}")
     return 0
@@ -305,8 +296,7 @@ def cmd_convert_check(cfg: dict[str, str]) -> int:
             checked.append((p, len(data), data.num_classes))
     else:
         raise ConfigError(f"format must be raw or cifar10, got {cfg['format']!r}")
-    out_dir = _prepare_out(cfg)
-    path = out_dir / ARTIFACTS["convert-check"]
+    path = _prepare_out(cfg)
     path.write_text(csv_text(["path", "records", "classes", "status"],
                              ([p, n, k, "ok"] for p, n, k in checked)))
     total = sum(n for _, n, _ in checked) if cfg["format"] == "cifar10" else checked[0][1]
@@ -369,9 +359,6 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else {}
         cfg = resolve_config(args.command, file_values, _overrides_from(args))
         return _HANDLERS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error (config): {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (FormatError, ShapeError) as exc:
         print(f"error (data-format): {exc}", file=sys.stderr)
         return EXIT_DATA_FORMAT

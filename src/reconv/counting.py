@@ -63,7 +63,7 @@ def match_pairs(layers: int, m_range: tuple[int, int],
     (symmetric and conservative). Pairs come back sorted by rel_diff,
     then untied M; an empty range yields an empty list.
     """
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     lo, hi = m_range
     if lo > hi:

@@ -64,7 +64,7 @@ class Dataset:
                 f"{pixels.shape[0]} images but labels shaped {self.labels.shape}")
         # byte codes lie in [0, 255] by their type
         if (pixels.dtype == np.float64 and pixels.size
-                and (pixels.min() < 0.0 or pixels.max() > 1.0)):
+                and not (pixels.min() >= 0.0 and pixels.max() <= 1.0)):
             raise ShapeError("pixel values must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= num_classes):
@@ -197,8 +197,11 @@ def make_synthetic(n: int, seed: int, num_classes: int = 10,
 
     with u drawn i.i.d. uniform per pixel and channel. Labels cycle
     0, 1, ..., num_classes-1, so classes are balanced up to remainder.
-    Deterministic in (n, seed, num_classes, noise, size).
+    Deterministic in (n, seed, num_classes, noise, size); ``noise`` must
+    be finite.
     """
+    if not np.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)
     palette = _class_palette(num_classes)
     labels = np.arange(n, dtype=np.int64) % num_classes

@@ -46,13 +46,14 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0,)
     max_pairs: int = 0             # 0 trains every matched pair; >0 keeps the
                                    # best-matched max_pairs per L
-    dataset: str = ""              # provenance label only
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; one of {KINDS}")
         if not self.m_list or not self.l_list or not self.seeds:
             raise ValueError("m_list, l_list and seeds must be nonempty")
+        if self.max_pairs < 0:
+            raise ValueError(f"max_pairs must be >= 0, got {self.max_pairs}")
 
 
 @dataclass

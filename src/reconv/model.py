@@ -54,8 +54,8 @@ class ArchConfig:
         if self.input_h % self.pool or self.input_w % self.pool:
             raise ValueError(
                 f"input {self.input_h}x{self.input_w} not divisible by pool {self.pool}")
-        if self.sigma_v <= 0:
-            raise ValueError(f"sigma_v must be positive, got {self.sigma_v}")
+        if not 0 < self.sigma_v < np.inf:
+            raise ValueError(f"sigma_v must be finite and positive, got {self.sigma_v}")
 
     @property
     def pooled_h(self) -> int:

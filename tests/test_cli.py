@@ -231,9 +231,16 @@ def test_abbreviated_flags_are_usage_errors(argv):
 
 
 def test_invalid_value_is_config_error(tmp_path, capsys):
-    code = run(["pairs", "--layers", "three", "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "config" in capsys.readouterr().err
+    small = ["--synth-train", "8", "--synth-test", "4", "--epochs", "1"]
+    for argv in (["pairs", "--layers", "three"], ["pairs", "--tol", "nan"],
+                 ["train", "--sigma-v", "nan", *small], ["train", "--sigma-v", "inf", *small],
+                 ["train", "--synth-noise", "nan", *small],
+                 ["experiment", "--max-pairs", "-1", "--m-list", "8", "--l-list", "1",
+                  *small]):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--out", str(out)]) == 3, argv
+        assert "config" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists(), argv
 
 
 def test_documented_defaults():

@@ -210,6 +210,8 @@ def test_dataset_validation():
     with pytest.raises(ShapeError):
         Dataset(np.full((1, 32, 32, 3), 1.5), np.zeros(1, dtype=int))
     with pytest.raises(ShapeError):
+        Dataset(np.full((1, 4, 4, 3), np.nan), [0])
+    with pytest.raises(ShapeError):
         Dataset(np.zeros((1, 32, 32, 3)), np.array([10]))
 
 

@@ -135,6 +135,26 @@ def test_a_nan_in_an_analytic_gradient_fails_the_check(monkeypatch):
     assert "overall: FAIL" in str(report)
 
 
+@pytest.mark.parametrize("tensor", ["hidden_kernels", "hidden_biases"])
+def test_a_nan_in_the_unrolled_sum_fails_the_tied_sum_check(monkeypatch, tensor):
+    # the tied model's own gradients stay clean, so every per-tensor check passes
+    true_loss_and_grads = gradcheck.loss_and_grads
+
+    def nan_when_untied(params, image, label):
+        loss, grads = true_loss_and_grads(params, image, label)
+        if not params.config.tied:
+            getattr(grads, tensor)[-1].flat[0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(gradcheck, "loss_and_grads", nan_when_untied)
+    config = ArchConfig(feature_maps=2, layers=2, tied=True, input_h=8, input_w=8)
+    report = check_model_grads(config, 0)
+    assert all(c.passed for c in report.checks)
+    assert np.isnan(report.tied_sum_rel_err)
+    assert not report.passed
+    assert "overall: FAIL" in str(report)
+
+
 @pytest.mark.parametrize("tied", [True, False])
 def test_one_forward_call_per_evaluation(monkeypatch, tied):
     # the benchmark's traced run counts gradcheck.forward calls: 2 per coordinate
@@ -197,9 +217,16 @@ def _full_forward_report(config, seed, tol=1e-4, eps=1e-5):
         kernel_sum = np.sum(unrolled_grads.hidden_kernels, axis=0)
         bias_sum = np.sum(unrolled_grads.hidden_biases, axis=0)
         tied_sum_rel_err = max(
-            gradcheck._max_elementwise_rel_err(analytic.hidden_kernels[0], kernel_sum),
-            gradcheck._max_elementwise_rel_err(analytic.hidden_biases[0], bias_sum))
+            _max_elementwise_rel_err(analytic.hidden_kernels[0], kernel_sum),
+            _max_elementwise_rel_err(analytic.hidden_biases[0], bias_sum))
     return GradReport(checks=checks, tolerance=tol, tied_sum_rel_err=tied_sum_rel_err)
+
+
+def _max_elementwise_rel_err(a, b):
+    """The tied-sum check's error as ``check_model_grads`` computed it
+    before ``relative_error`` took arrays."""
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), gradcheck.REL_ERR_FLOOR)
+    return float(np.max(np.abs(a - b) / denom))
 
 
 @pytest.mark.parametrize("m,layers,tied,eps", [(2, 2, True, 1e-5), (3, 4, False, 1e-5),
