@@ -54,6 +54,8 @@ class ExperimentSpec:
             raise ValueError("m_list, l_list and seeds must be nonempty")
         if self.max_pairs < 0:
             raise ValueError(f"max_pairs must be >= 0, got {self.max_pairs}")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
 
 
 @dataclass

@@ -39,9 +39,9 @@ def relative_error(a, b) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERR_FLOOR)
 
 
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _central_differences(theta: np.ndarray, eps: float,
@@ -67,7 +67,7 @@ def finite_diff(f: Callable[[np.ndarray], float], theta: np.ndarray,
     ``theta`` is perturbed in place and restored; ``f`` is called with the
     same array object each time. ``eps`` must be finite and positive.
     """
-    _check_eps(eps)
+    _check_positive("eps", eps)
     grad = np.zeros_like(theta, dtype=np.float64)
     gflat = grad.reshape(-1)
     for i, fp, fm in _central_differences(theta, eps, lambda: f(theta)):
@@ -176,9 +176,13 @@ def check_model_grads(config: ArchConfig, seed: int, tol: float = 1e-4,
 
     For tied models the report additionally verifies that the shared
     kernel/bias gradients equal the sum of the per-layer gradients of the
-    weight-equal untied model. ``eps`` must be finite and positive.
+    weight-equal untied model. ``tol`` and ``eps`` must be finite and
+    positive: a tensor passes when its largest error is below ``tol``, so
+    a ``tol`` of zero or below fails every tensor and an infinite one
+    passes any finite error.
     """
-    _check_eps(eps)
+    _check_positive("tol", tol)
+    _check_positive("eps", eps)
     params, image, label = _check_point(config, seed)
     _, analytic = loss_and_grads(params, image, label)
 

@@ -10,6 +10,14 @@ The forward pass records everything the backward pass needs in a Tape;
 ``loss_and_grads`` walks the tape in reverse, chaining the adjoints from
 :mod:`reconv.ops`. For tied models the shared kernel's gradient is the
 sum over all of its applications.
+
+Classification (``predict_class``, and through it ``count_errors`` and
+``error_rate``) records no tape. It takes the 4x4 block maximum of the
+raw stem convolution and adds the stem bias and ReLU on the pooled map
+alone, without a pooling argmax or a full-resolution ReLU map. Rounding
+and ReLU are monotone, so that pooled map is the tape's bit for bit, and
+the later stages run the same operations, so the class is the one
+``forward``'s probabilities give.
 """
 
 from __future__ import annotations
@@ -47,10 +55,10 @@ class ArchConfig:
     sigma_v: float = 0.1
 
     def __post_init__(self):
-        if self.feature_maps < 1:
-            raise ValueError(f"feature_maps must be positive, got {self.feature_maps}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be positive, got {self.layers}")
+        for name in ("feature_maps", "layers", "input_h", "input_w", "input_channels",
+                     "first_kernel", "pool", "hidden_kernel", "classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.input_h % self.pool or self.input_w % self.pool:
             raise ValueError(
                 f"input {self.input_h}x{self.input_w} not divisible by pool {self.pool}")
@@ -177,6 +185,27 @@ class Tape:
     nll: np.ndarray              # K, -log probs, finite where probs underflows to 0
 
 
+def _checked_image(cfg: ArchConfig, image) -> np.ndarray:
+    image = np.asarray(image, dtype=np.float64)
+    expected = (cfg.input_h, cfg.input_w, cfg.input_channels)
+    if image.shape != expected:
+        raise ShapeError(f"expected image shape {expected}, got {image.shape}")
+    return image
+
+
+def _hidden_layer(params: Params, layer: int, z: np.ndarray) -> np.ndarray:
+    """Hidden layer ``layer`` applied to its input ``z``."""
+    i = params.kernel_index(layer)
+    return ops.relu(ops.conv2d_same(z, params.hidden_kernels[i]) + params.hidden_biases[i])
+
+
+def _logits(params: Params, normalized: np.ndarray) -> np.ndarray:
+    # np.tensordot(normalized, classifier, axes=3) without its wrapper:
+    # the same dot of the same (1, N) and (N, K) matrices, so the same bits.
+    return params.classifier_bias + normalized.reshape(1, -1).dot(
+        params.classifier.reshape(-1, params.config.classes))[0]
+
+
 def forward(params: Params, image: np.ndarray, tape: Tape | None = None,
             start: int = 0) -> Tape:
     """Run the network on one image and record the full activation tape.
@@ -195,10 +224,7 @@ def forward(params: Params, image: np.ndarray, tape: Tape | None = None,
     if not 0 <= start <= cfg.layers + 1:
         raise ValueError(f"start stage must be in [0, {cfg.layers + 1}], got {start}")
     if start == 0:
-        image = np.asarray(image, dtype=np.float64)
-        expected = (cfg.input_h, cfg.input_w, cfg.input_channels)
-        if image.shape != expected:
-            raise ShapeError(f"expected image shape {expected}, got {image.shape}")
+        image = _checked_image(cfg, image)
         pre_pool = ops.relu(ops.conv2d_same(image, params.first_kernels) + params.first_bias)
         pooled, argmax = ops.maxpool(pre_pool, cfg.pool)
         hidden = [pooled]
@@ -208,19 +234,12 @@ def forward(params: Params, image: np.ndarray, tape: Tape | None = None,
         image, pre_pool, argmax = tape.image, tape.pre_pool, tape.pool_argmax
         hidden = tape.hidden[:start]
     for layer in range(len(hidden) - 1, cfg.layers):
-        i = params.kernel_index(layer)
-        z = ops.relu(
-            ops.conv2d_same(hidden[-1], params.hidden_kernels[i])
-            + params.hidden_biases[i])
-        hidden.append(z)
+        hidden.append(_hidden_layer(params, layer, hidden[-1]))
     if start <= cfg.layers:
         normalized = ops.l2norm_pixel(hidden[-1])
     else:
         normalized = tape.normalized
-    # np.tensordot(normalized, classifier, axes=3) without its wrapper:
-    # the same dot of the same (1, N) and (N, K) matrices, so the same bits.
-    logits = params.classifier_bias + normalized.reshape(1, -1).dot(
-        params.classifier.reshape(-1, cfg.classes))[0]
+    logits = _logits(params, normalized)
     probs, nll = ops.softmax(logits)
     return Tape(image=image, pre_pool=pre_pool, pool_argmax=argmax, hidden=hidden,
                 normalized=normalized, logits=logits, probs=probs, nll=nll)
@@ -341,9 +360,39 @@ def loss_and_grads(params: Params, images: np.ndarray,
     return total, grads
 
 
+def _pooled_stem(params: Params, image: np.ndarray) -> np.ndarray:
+    """``forward(params, image).hidden[0]`` without the tape: the block
+    maximum of the raw stem convolution, then the bias and ReLU on the
+    pooled map alone.
+
+    This is the same array bit for bit. Adding one number b rounds
+    monotonically, so max_i fl(y_i + b) = fl(max_i y_i + b), and ReLU is
+    monotone too. A NaN in a block makes both NaN. If a block's raw
+    maximum is a zero of either sign, -0.0 + b is b, or +0.0 when b is
+    zero, and ReLU (np.maximum(x, 0.0)) turns -0.0 into +0.0, so both
+    give +0.0 where ``forward`` does. The one exception is a bias of +inf
+    over a block that holds -inf and a larger value: -inf + inf is NaN,
+    so ``forward`` pools NaN there and this pass +inf.
+    """
+    cfg = params.config
+    y = ops.conv2d_same(_checked_image(cfg, image), params.first_kernels)
+    p = cfg.pool
+    blocks = y.reshape(cfg.pooled_h, p, cfg.pooled_w, p, cfg.feature_maps)
+    return ops.relu(blocks.max(axis=(1, 3)) + params.first_bias)
+
+
 def predict_class(params: Params, image: np.ndarray) -> int:
-    """Most probable class; argmax ties break to the lowest index."""
-    return int(np.argmax(forward(params, image).probs))
+    """Most probable class; argmax ties break to the lowest index.
+
+    A pass without a tape whose pooled map is ``forward``'s
+    (``_pooled_stem``). Every later stage runs ``forward``'s operations
+    on the same arrays, so the probabilities, and the class, are its.
+    """
+    z = _pooled_stem(params, image)
+    for layer in range(params.config.layers):
+        z = _hidden_layer(params, layer, z)
+    probs, _ = ops.softmax(_logits(params, ops.l2norm_pixel(z)))
+    return int(np.argmax(probs))
 
 
 def count_errors(params: Params, data, start: int, stop: int) -> int:

@@ -236,7 +236,13 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
                  ["train", "--sigma-v", "nan", *small], ["train", "--sigma-v", "inf", *small],
                  ["train", "--synth-noise", "nan", *small],
                  ["experiment", "--max-pairs", "-1", "--m-list", "8", "--l-list", "1",
-                  *small]):
+                  *small],
+                 ["experiment", "--kind", "pair-matched-features", "--tol", "nan",
+                  "--m-list", "8", "--l-list", "1", *small],
+                 ["gradcheck", "--m", "2", "--l", "1", "--tol", "nan"],
+                 ["gradcheck", "--m", "2", "--l", "1", "--tol", "-1"],
+                 ["gradcheck", "--m", "2", "--l", "1", "--input-size", "0"],
+                 ["train", "--classes", "0", *small]):
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 3, argv
         assert "config" in capsys.readouterr().err

@@ -26,6 +26,12 @@ def test_unknown_kind_rejected():
         spec("mystery", [4], [1])
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), -0.01])
+def test_bad_tolerance_rejected_before_any_pairs_are_matched(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        spec("pair-matched-features", [4], [1], tolerance=tolerance)
+
+
 def test_degenerate_zero_epoch_cell_reports_untrained_error():
     s = spec("layers-tied", [4], [1], epochs=0)
     train_data, test_data = tiny_data(6, 0), tiny_data(4, 1)

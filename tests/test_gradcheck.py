@@ -114,6 +114,14 @@ def test_a_bad_eps_is_rejected(eps):
         finite_diff(lambda t: 1.0, np.zeros(1), eps=eps)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_a_bad_tol_is_rejected(tol):
+    # a nan or non-positive tol fails every tensor, an inf one passes any finite error
+    config = ArchConfig(feature_maps=2, layers=1, tied=True, input_h=8, input_w=8)
+    with pytest.raises(ValueError, match="tol"):
+        check_model_grads(config, 0, tol=tol)
+
+
 def test_a_nan_in_an_analytic_gradient_fails_the_check(monkeypatch):
     # one NaN per kernel gradient; untied, so no tied-sum check can catch it
     true_grad = ops.conv2d_same_kernel_grad

@@ -36,6 +36,13 @@ def generic_params(cfg, seed=0):
 # initialization
 
 
+@pytest.mark.parametrize("field", ["input_h", "input_w", "input_channels", "first_kernel",
+                                   "pool", "hidden_kernel", "classes"])
+def test_an_empty_extent_is_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        ArchConfig(feature_maps=2, layers=1, **{field: 0})
+
+
 def test_init_hidden_kernels_act_as_identity():
     params = init_params(tiny_cfg(m=5, l=2, tied=False), seed=3)
     rng = np.random.default_rng(0)
@@ -123,6 +130,12 @@ def test_forward_wrong_shape_raises():
         forward(params, np.zeros((4, 4, 3)))
 
 
+def test_predict_class_wrong_shape_raises():
+    params = init_params(tiny_cfg(), seed=0)
+    with pytest.raises(ShapeError):
+        predict_class(params, np.zeros((8, 8, 1)))
+
+
 def _stage_outputs(tape):
     """The tape's fields grouped by the forward stage that writes them."""
     last = len(tape.hidden) - 1
@@ -171,6 +184,86 @@ def test_resumed_forward_rejects_a_bad_start():
     with pytest.raises(ValueError):
         forward(params, image, None, 1)
     assert np.array_equal(forward(params, image, tape, 3).logits, tape.logits)
+
+
+# ---------------------------------------------------------------------------
+# classification
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_classifies_as_forward(params, image):
+    tape = forward(params, image)
+    assert_same_bits(model._pooled_stem(params, image), tape.hidden[0])
+    assert predict_class(params, image) == int(np.argmax(tape.probs))
+
+
+@pytest.mark.parametrize("size", [8, 32])
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_classification_pass_is_the_taped_pass(size, tied, layers):
+    cfg = tiny_cfg(m=3, l=layers, tied=tied, size=size)
+    params = generic_params(cfg, seed=layers)
+    # some maps with a negative bias, so that ReLU zeroes pooled values
+    params.first_bias = np.array([-0.3, 0.0, 0.1])
+    for seed in range(4):
+        assert_classifies_as_forward(params, random_image(cfg, seed))
+
+
+def test_classification_pass_on_a_negative_zero_raw_maximum(monkeypatch):
+    cfg = ArchConfig(feature_maps=4, layers=2, input_h=16, input_w=16)
+    params = generic_params(cfg, seed=1)
+    params.first_kernels = -np.abs(params.first_kernels)
+    params.first_bias = np.array([0.0, -0.0, 0.1, -0.1])
+    image = random_image(cfg, seed=2)
+    # block (0, 0) sees only zeros; block (1, 1) has zero and negative sums
+    image[:10, :10] = 0.0
+    stem = ops.conv2d_same
+
+    def signed_zeros(x, kernels):
+        # products 0 * w < 0 are -0.0, but whether a BLAS sums them to
+        # -0.0 or +0.0 varies; make it -0.0 on both passes
+        y = stem(x, kernels)
+        return np.where(y == 0.0, -0.0, y)
+
+    monkeypatch.setattr(ops, "conv2d_same", signed_zeros)
+    y = ops.conv2d_same(image, params.first_kernels)
+    assert np.signbit(y[:4, :4]).all() and not y[:4, :4].any()
+    block = y[4:8, 4:8]
+    assert block.max() == 0.0 and (block < 0).any()
+    assert_classifies_as_forward(params, image)
+
+
+def test_classification_pass_on_a_nan():
+    cfg = tiny_cfg(m=3, l=2)
+    params = generic_params(cfg, seed=3)
+    image = random_image(cfg, seed=3)
+    # a NaN pixel reaches part of a pooling block: rows 0 to 4 of the stem
+    image[1, 1, 2] = np.nan
+    y = ops.conv2d_same(image, params.first_kernels)
+    assert np.isnan(y[4]).any() and not np.isnan(y[5:]).any()
+    assert_classifies_as_forward(params, image)
+    # a NaN stem weight reaches every position of its map
+    image[1, 1, 2] = 0.5
+    params.first_kernels[2, 5, 1, 1] = np.nan
+    assert np.isnan(forward(params, image).hidden[0][:, :, 1]).all()
+    assert_classifies_as_forward(params, image)
+
+
+def test_classification_pass_on_a_repeated_block_maximum():
+    cfg = tiny_cfg(m=3, l=2)
+    params = generic_params(cfg, seed=4)
+    # one center tap per map: the raw stem output is a multiple of channel 0
+    params.first_kernels[:] = 0.0
+    params.first_kernels[3, 3, 0] = [1.0, 2.0, 0.5]
+    image = random_image(cfg, seed=4) * 0.5
+    image[0, 0, 0] = image[1, 2, 0] = 0.9
+    y = ops.conv2d_same(image, params.first_kernels)
+    assert np.count_nonzero(y[:4, :4, 0] == y[:4, :4, 0].max()) == 2
+    assert_classifies_as_forward(params, image)
 
 
 # ---------------------------------------------------------------------------
@@ -406,5 +499,6 @@ def test_hot_path_calls_no_generic_numpy_wrapper():
     # arithmetic of an 8x8 forward pass, so keep them off the hot path.
     wrappers = {"sliding_window_view", "tensordot", "take_along_axis", "put_along_axis"}
     for fn in (ops._im2col, ops.maxpool, ops.maxpool_grad,
-               model.forward, model._backward_into):
+               model.forward, model._backward_into, model._hidden_layer,
+               model._logits, model._pooled_stem, model.predict_class):
         assert not wrappers & set(fn.__code__.co_names), fn.__name__

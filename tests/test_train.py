@@ -306,15 +306,18 @@ def test_no_conversion_covers_more_than_a_process_share_or_a_block(monkeypatch, 
 
 
 def in_helpers_only(monkeypatch, action):
-    """Make ``model.forward`` call ``action`` in forked helper processes."""
-    original = model.forward
+    """Make ``model.forward``, which training's helpers call, and
+    ``model.predict_class``, which evaluating helpers call, call ``action``
+    in forked helper processes."""
+    for name in ("forward", "predict_class"):
+        original = getattr(model, name)
 
-    def forward(params, image):
-        if multiprocessing.parent_process() is not None:
-            action()
-        return original(params, image)
+        def wrapped(params, image, original=original):
+            if multiprocessing.parent_process() is not None:
+                action()
+            return original(params, image)
 
-    monkeypatch.setattr(model, "forward", forward)
+        monkeypatch.setattr(model, name, wrapped)
 
 
 def test_helper_exception_reaches_the_caller_with_its_type(monkeypatch):
@@ -353,6 +356,26 @@ def test_error_rate_dead_helper_raises_instead_of_hanging(monkeypatch, deadline)
     in_helpers_only(monkeypatch, lambda: os._exit(1))
     with pytest.raises(BrokenProcessPool):
         error_rate(init_params(small_arch(), seed=0), make_synthetic(8, seed=0))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_error_rate_builds_no_tape(monkeypatch, cores):
+    params = init_params(small_arch(), seed=0)
+    rng = np.random.default_rng(0)
+    params.classifier = rng.normal(0, 0.5, params.classifier.shape)
+    images = rng.uniform(0, 1, (8, 32, 32, 3))
+    # every odd-numbered example is misclassified
+    labels = [(model.predict_class(params, x) + i % 2) % 10 for i, x in enumerate(images)]
+    data = Dataset(images, np.asarray(labels))
+    rate = error_rate(params, data)
+    assert rate == 0.5
+
+    def taped(*args):
+        raise AssertionError("classification called forward")
+
+    use_cores(monkeypatch, cores)
+    monkeypatch.setattr(model, "forward", taped)
+    assert error_rate(params, data) == rate
 
 
 def count_pools(monkeypatch):
