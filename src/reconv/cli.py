@@ -224,9 +224,12 @@ def _prepare_out(cfg: dict[str, str]) -> Path:
 def cmd_train(cfg: dict[str, str]) -> int:
     arch = _arch_from(cfg)
     train_cfg = _train_cfg_from(cfg)
+    seed = _to_int(cfg, "seed")
+    if seed < 0:
+        raise ConfigError(f"key seed: must be >= 0, got {seed}")
     train_data, test_data = _load_datasets(cfg)
     path = _prepare_out(cfg)
-    result = train(arch, train_data, test_data, train_cfg, _to_int(cfg, "seed"))
+    result = train(arch, train_data, test_data, train_cfg, seed)
     path.write_text(metrics_csv(result, wall_time=cfg["timing"] == "wall"))
     if result.records:
         last = result.records[-1]

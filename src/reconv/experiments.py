@@ -1,6 +1,6 @@
 """Declarative grid and pair experiments over (feature maps, layers, tying).
 
-Five experiment kinds cover the controlled comparisons the architecture
+Four experiment kinds cover the controlled comparisons the architecture
 enables:
 
     layers-tied            tied models over the L x M grid: parameter
@@ -11,7 +11,6 @@ enables:
                            and depth, budgets differ.
     pair-matched-features  tied/untied pairs with matched budgets at
                            equal L: only the map count differs.
-    overview-grid          both variants over the full grid.
 
 Each cell is an independent, seeded training run, so cells run in
 parallel worker processes; failures on bad input or numerics are recorded
@@ -32,8 +31,10 @@ from .pool import fork_pool, shared, worker_count
 from .table import csv_text
 from .train import TrainConfig, train
 
-KINDS = ("overview-grid", "layers-tied", "params-layers-untied",
-         "pair-tied-vs-untied", "pair-matched-features")
+# The grid kinds, each with the tyings of its cells at every (M, L).
+_GRID_TYINGS = {"layers-tied": (True,), "params-layers-untied": (False,),
+                "pair-tied-vs-untied": (False, True)}
+KINDS = (*_GRID_TYINGS, "pair-matched-features")
 
 
 @dataclass
@@ -52,6 +53,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}; one of {KINDS}")
         if not self.m_list or not self.l_list or not self.seeds:
             raise ValueError("m_list, l_list and seeds must be nonempty")
+        for key, values, least in (("m_list", self.m_list, 1), ("l_list", self.l_list, 1),
+                                   ("seeds", self.seeds, 0)):
+            if min(values) < least:
+                raise ValueError(f"every entry of {key} must be >= {least}, got {list(values)}")
         if self.max_pairs < 0:
             raise ValueError(f"max_pairs must be >= 0, got {self.max_pairs}")
         if not self.tolerance >= 0:
@@ -85,12 +90,11 @@ class ExperimentResult:
 def _cell_descriptors(spec: ExperimentSpec) -> list[tuple[bool, int, int]]:
     """(tied, feature_maps, layers) descriptors for a spec, deduplicated
     in a deterministic order."""
-    cells: list[tuple[bool, int, int]] = []
-    if spec.kind == "layers-tied":
-        cells = [(True, m, l) for m in spec.m_list for l in spec.l_list]
-    elif spec.kind == "params-layers-untied":
-        cells = [(False, m, l) for m in spec.m_list for l in spec.l_list]
-    elif spec.kind == "pair-matched-features":
+    if spec.kind in _GRID_TYINGS:
+        cells = [(tied, m, l) for m in spec.m_list for l in spec.l_list
+                 for tied in _GRID_TYINGS[spec.kind]]
+    else:  # pair-matched-features
+        cells = []
         m_range = (min(spec.m_list), max(spec.m_list))
         for l in spec.l_list:
             pairs = match_pairs(l, m_range, spec.tolerance)
@@ -98,9 +102,6 @@ def _cell_descriptors(spec: ExperimentSpec) -> list[tuple[bool, int, int]]:
                 pairs = pairs[:spec.max_pairs]
             for pair in pairs:
                 cells.extend([(False, pair.m_untied, l), (True, pair.m_tied, l)])
-    else:  # pair-tied-vs-untied and overview-grid
-        cells = [(tied, m, l) for m in spec.m_list for l in spec.l_list
-                 for tied in (False, True)]
     return list(dict.fromkeys(cells))
 
 
@@ -119,28 +120,24 @@ def _run_cell(task: tuple[bool, int, int, int], spec: ExperimentSpec,
     recorded as a failed cell; any other exception is a bug and raises."""
     tied, m, l, seed = task
     arch = ArchConfig(feature_maps=m, layers=l, tied=tied)
-    count = param_count(arch)
+    cell = CellResult(kind=spec.kind, tied=tied, feature_maps=m, layers=l,
+                      param_count=param_count(arch), train_error=math.nan,
+                      test_error=math.nan, seed=seed, epochs=spec.train.epochs)
     start = time.perf_counter()
     try:
         result = train(arch, train_data, test_data, spec.train, seed)
     except (ReconvError, ArithmeticError) as exc:
-        return CellResult(
-            kind=spec.kind, tied=tied, feature_maps=m, layers=l,
-            param_count=count, train_error=math.nan, test_error=math.nan,
-            seed=seed, epochs=spec.train.epochs,
-            seconds=time.perf_counter() - start, error=str(exc))
-    if result.records:
-        train_err = result.records[-1].train_error
-        test_err = result.records[-1].test_error
+        cell.error = str(exc)
     else:
-        # 0-epoch cells report the untrained model's error
-        train_err = error_rate(result.params, train_data)
-        test_err = error_rate(result.params, test_data)
-    return CellResult(
-        kind=spec.kind, tied=tied, feature_maps=m, layers=l,
-        param_count=count, train_error=train_err, test_error=test_err,
-        seed=seed, epochs=spec.train.epochs,
-        seconds=time.perf_counter() - start)
+        if result.records:
+            cell.train_error = result.records[-1].train_error
+            cell.test_error = result.records[-1].test_error
+        else:
+            # 0-epoch cells report the untrained model's error
+            cell.train_error = error_rate(result.params, train_data)
+            cell.test_error = error_rate(result.params, test_data)
+    cell.seconds = time.perf_counter() - start
+    return cell
 
 
 def _run_worker_cell(task: tuple[bool, int, int, int]) -> CellResult:

@@ -433,7 +433,7 @@ def error_rate(params: Params, data) -> float:
     # the pool's feeder thread would do that in a malloc arena of its own,
     # which keeps the freed memory (2 MB of the depth-sweep benchmark's
     # peak resident set).
-    with helpers(n, data, params) as (_, split):
+    with helpers(n, data, params) as split:
         end, futures = split(n, _helper_errors)
         wrong = count_errors(params, data, 0, end)
         return (wrong + sum(future.result() for future in futures)) / n

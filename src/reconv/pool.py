@@ -112,10 +112,9 @@ def shared() -> tuple:
 
 @contextmanager
 def helpers(tasks: int, *shared):
-    """Yield (processes, split) for a job of ``tasks`` parallel tasks: the
-    ``worker_count(tasks)`` processes are this one and ``processes - 1``
-    helpers of ``fork_pool(processes - 1, *shared)``, open until the block
-    ends.
+    """Yield ``split`` for a job of ``tasks`` parallel tasks, run by
+    ``processes = worker_count(tasks)`` processes: this one and the helpers
+    of ``fork_pool(processes - 1, *shared)``, open until the block ends.
 
     ``split(n, fn, *args, step=1)`` cuts ``range(n)``, n >= 1, on
     multiples of ``step`` into one contiguous run per process, or fewer
@@ -127,10 +126,10 @@ def helpers(tasks: int, *shared):
     """
     processes = worker_count(tasks)
     if processes == 1:
-        yield 1, partial(_split, None, 1)
+        yield partial(_split, None, 1)
         return
     with fork_pool(processes - 1, *shared) as pool:
-        yield processes, partial(_split, pool, processes)
+        yield partial(_split, pool, processes)
 
 
 def _split(pool, processes: int, n: int, fn, *args, step: int = 1):

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.shuffle_seed < 0:
+            raise ValueError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
@@ -154,7 +156,7 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
     n = len(train_data)
     tasks = min(cfg.batch_size, n) if cfg.epochs else 1
 
-    with helpers(tasks, train_data, test_data) as (_, split):
+    with helpers(tasks, train_data, test_data) as split:
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             epoch_loss = 0.0

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -242,11 +243,26 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
                  ["gradcheck", "--m", "2", "--l", "1", "--tol", "nan"],
                  ["gradcheck", "--m", "2", "--l", "1", "--tol", "-1"],
                  ["gradcheck", "--m", "2", "--l", "1", "--input-size", "0"],
-                 ["train", "--classes", "0", *small]):
+                 ["train", "--classes", "0", *small],
+                 ["experiment", "--m-list", "0,8", "--l-list", "1", *small],
+                 ["experiment", "--m-list", "8", "--l-list", "0", *small],
+                 ["experiment", "--seeds=-1", "--m-list", "8", "--l-list", "1", *small],
+                 ["train", "--seed=-1", *small], ["train", "--shuffle-seed=-1", *small]):
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 3, argv
         assert "config" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists(), argv
+
+
+@pytest.mark.parametrize("key,argv", [
+    ("m_list", ["experiment", "--m-list", "0,8", "--l-list", "1"]),
+    ("l_list", ["experiment", "--m-list", "8", "--l-list", "0"]),
+    ("seeds", ["experiment", "--seeds=-1", "--m-list", "8", "--l-list", "1"]),
+    ("seed", ["train", "--seed=-1"]), ("shuffle_seed", ["train", "--shuffle-seed=-1"])])
+def test_a_bad_seed_or_list_entry_names_its_key(tmp_path, capsys, key, argv):
+    assert run([*argv, "--synth-train", "8", "--synth-test", "4",
+                "--out", str(tmp_path)]) == 3
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 def test_documented_defaults():

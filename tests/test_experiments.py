@@ -83,14 +83,17 @@ def test_pair_tied_vs_untied_grid():
             assert (True, m, l) in cells and (False, m, l) in cells
 
 
-def test_overview_grid_and_untied_kinds():
-    assert len(_cell_descriptors(spec("overview-grid", [2, 3], [1, 2]))) == 8
+def test_each_grid_kind_builds_its_tyings_over_the_grid():
+    for kind, tyings in (("layers-tied", (True,)), ("params-layers-untied", (False,)),
+                         ("pair-tied-vs-untied", (False, True))):
+        assert _cell_descriptors(spec(kind, [2, 3], [1, 2])) == \
+            [(tied, m, l) for m in (2, 3) for l in (1, 2) for tied in tyings]
     assert _cell_descriptors(spec("params-layers-untied", [2], [1, 2])) == \
         [(False, 2, 1), (False, 2, 2)]
 
 
 def test_results_sorted_canonically_and_deterministic():
-    s = spec("overview-grid", [3, 2], [2, 1], seeds=(1, 0))
+    s = spec("pair-tied-vs-untied", [3, 2], [2, 1], seeds=(1, 0))
     train_data, test_data = tiny_data(4), tiny_data(2, 1)
     r1 = run_experiment(s, train_data, test_data)
     r2 = run_experiment(s, train_data, test_data)
@@ -118,7 +121,7 @@ def test_failed_cells_recorded_and_run_continues():
 
 
 def test_parallel_cells_equal_serial_training():
-    s = spec("overview-grid", [3, 2], [2, 1], epochs=1, seeds=(1, 0))
+    s = spec("pair-tied-vs-untied", [3, 2], [2, 1], epochs=1, seeds=(1, 0))
     train_data, test_data = tiny_data(4), tiny_data(2, 1)
     expected = []
     for tied, m, l in _cell_descriptors(s):

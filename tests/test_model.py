@@ -83,6 +83,47 @@ def test_tied_params_store_single_copy():
     assert len(untied.hidden_kernels) == 5
 
 
+# The sweeps pair their cells on these: at one seed every cell starts from
+# the same weights and the same initial function, whatever its depth or tying.
+
+
+def assert_same_tensors(a, b):
+    for (name_a, x), (name_b, y) in zip(a.tensors(), b.tensors(), strict=True):
+        assert name_a == name_b
+        npt.assert_array_equal(x, y, strict=True)
+
+
+@pytest.mark.parametrize("m,l", [(8, 3), (16, 2), (3, 8)])
+def test_untied_tied_init_is_the_untied_init(m, l):
+    unrolled = untie(init_params(ArchConfig(feature_maps=m, layers=l, tied=True), seed=7))
+    untied = init_params(ArchConfig(feature_maps=m, layers=l, tied=False), seed=7)
+    assert unrolled.config == untied.config
+    assert_same_tensors(unrolled, untied)
+
+
+def test_tied_init_does_not_depend_on_depth():
+    shallow = init_params(ArchConfig(feature_maps=8, layers=1, tied=True), seed=7)
+    for l in (2, 3, 8):
+        assert_same_tensors(
+            shallow, init_params(ArchConfig(feature_maps=8, layers=l, tied=True), seed=7))
+
+
+def test_every_depth_and_tying_starts_with_the_same_logits():
+    rng = np.random.default_rng(3)
+    classifier = rng.normal(0, 0.1, (8, 8, 8, 10))
+    classifier_bias = rng.normal(0, 0.1, 10)
+    image = random_image(ArchConfig(feature_maps=8, layers=1), seed=4)
+    logits = []
+    for l in (1, 2, 4):
+        for tied in (True, False):
+            params = init_params(ArchConfig(feature_maps=8, layers=l, tied=tied), seed=7)
+            params.classifier, params.classifier_bias = classifier.copy(), classifier_bias.copy()
+            logits.append(forward(params, image).logits)
+    assert np.unique(logits[0]).size == 10
+    for other in logits[1:]:
+        npt.assert_array_equal(other, logits[0], strict=True)
+
+
 # ---------------------------------------------------------------------------
 # forward
 

@@ -176,6 +176,8 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, momentum=1.0)
+    with pytest.raises(ValueError, match="shuffle_seed"):
+        TrainConfig(epochs=1, shuffle_seed=-1)
     for lr in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, learning_rate=lr)
