@@ -3,13 +3,13 @@ parameter budgeting, and the matched-pair experiments they enable."""
 
 __version__ = "0.1.0"
 
-from .counting import ModelPair, match_pairs, pairs_csv, param_count
+from .counting import (ContourRow, ModelPair, contours_csv, emit_contours,
+                       match_pairs, pairs_csv, param_count)
 from .data import (Dataset, load_cifar10, load_raw, make_synthetic,
                    minibatches, save_raw)
 from .errors import (ConfigError, FormatError, NumericError, ReconvError,
                      ShapeError)
-from .experiments import (CellResult, ContourRow, ExperimentResult,
-                          ExperimentSpec, contours_csv, emit_contours,
+from .experiments import (CellResult, ExperimentResult, ExperimentSpec,
                           results_csv, run_experiment)
 from .gradcheck import GradReport, check_model_grads, finite_diff
 from .model import (ArchConfig, Grads, Params, Tape, error_rate, forward,

@@ -19,11 +19,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .counting import match_pairs, pairs_csv
+from .counting import contours_csv, emit_contours, match_pairs, pairs_csv
 from .data import Dataset, load_cifar10, load_raw, make_synthetic
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .experiments import (ExperimentSpec, contours_csv, emit_contours,
-                          results_csv, run_experiment)
+from .experiments import ExperimentSpec, results_csv, run_experiment
 from .gradcheck import check_model_grads
 from .model import ArchConfig
 from .table import csv_text
@@ -126,6 +125,13 @@ def _to_float(cfg: dict[str, str], key: str) -> float:
         raise ConfigError(f"key {key}: expected number, got {cfg[key]!r}") from exc
 
 
+def _to_seed(cfg: dict[str, str], key: str) -> int:
+    seed = _to_int(cfg, key)
+    if seed < 0:
+        raise ConfigError(f"key {key}: must be >= 0, got {seed}")
+    return seed
+
+
 def _to_bool(cfg: dict[str, str], key: str) -> bool:
     value = cfg[key].lower()
     if value in ("true", "1", "yes"):
@@ -167,25 +173,37 @@ def _listed(cfg: dict[str, str], source: str, key: str) -> list[str]:
     return paths
 
 
-def _load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
+def _load_datasets(cfg: dict[str, str], size: int,
+                   classes: int) -> tuple[Dataset, Dataset]:
+    """The train and test sets, checked to hold ``size`` x ``size`` images
+    with labels below ``classes``: synthetic data is drawn that way, and
+    files, whose images are 32x32, must fit."""
     source = cfg["dataset"]
     if source == "synthetic":
         noise = _to_float(cfg, "synth_noise")
-        return (make_synthetic(_to_int(cfg, "synth_train"),
-                               _to_int(cfg, "synth_train_seed"), noise=noise),
-                make_synthetic(_to_int(cfg, "synth_test"),
-                               _to_int(cfg, "synth_test_seed"), noise=noise))
+        return tuple(make_synthetic(_to_int(cfg, key), _to_seed(cfg, key + "_seed"),
+                                    num_classes=classes, noise=noise, size=size)
+                     for key in ("synth_train", "synth_test"))
+    if source not in ("cifar10", "raw"):
+        raise ConfigError(f"dataset must be synthetic, cifar10 or raw, got {source!r}")
+    if size != 32:
+        raise ConfigError(f"key input_size: dataset={source} images are 32x32, got {size}")
     if source == "cifar10":
-        return tuple(load_cifar10([_resolve_data_path(p, cfg["data_dir"])
+        sets = tuple(load_cifar10([_resolve_data_path(p, cfg["data_dir"])
                                    for p in _listed(cfg, "dataset=cifar10", key)])
                      for key in ("train_files", "test_files"))
-    if source == "raw":
+    else:
         files = _files(cfg, "dataset=raw", "train_images", "train_labels",
                        "test_images", "test_labels")
-        classes = _to_int(cfg, "classes") if "classes" in cfg else 10
-        return (load_raw(*files[:2], _to_int(cfg, "n_train"), classes),
-                load_raw(*files[2:], _to_int(cfg, "n_test"), classes))
-    raise ConfigError(f"dataset must be synthetic, cifar10 or raw, got {source!r}")
+        # every label byte loads; the check below holds the labels to classes
+        sets = (load_raw(*files[:2], _to_int(cfg, "n_train"), 256),
+                load_raw(*files[2:], _to_int(cfg, "n_test"), 256))
+    for data in sets:
+        top = data.labels.max(initial=0)
+        if top >= classes:
+            raise ConfigError(f"dataset={source} holds label {top}, "
+                              f"but the model's classes is {classes}")
+    return sets
 
 
 def _arch_from(cfg: dict[str, str]) -> ArchConfig:
@@ -224,10 +242,8 @@ def _prepare_out(cfg: dict[str, str]) -> Path:
 def cmd_train(cfg: dict[str, str]) -> int:
     arch = _arch_from(cfg)
     train_cfg = _train_cfg_from(cfg)
-    seed = _to_int(cfg, "seed")
-    if seed < 0:
-        raise ConfigError(f"key seed: must be >= 0, got {seed}")
-    train_data, test_data = _load_datasets(cfg)
+    seed = _to_seed(cfg, "seed")
+    train_data, test_data = _load_datasets(cfg, arch.input_h, arch.classes)
     path = _prepare_out(cfg)
     result = train(arch, train_data, test_data, train_cfg, seed)
     path.write_text(metrics_csv(result, wall_time=cfg["timing"] == "wall"))
@@ -246,7 +262,7 @@ def cmd_experiment(cfg: dict[str, str]) -> int:
         tolerance=_to_float(cfg, "tol"),
         seeds=tuple(_to_int_list(cfg, "seeds")),
         max_pairs=_to_int(cfg, "max_pairs"))
-    train_data, test_data = _load_datasets(cfg)
+    train_data, test_data = _load_datasets(cfg, 32, 10)
     path = _prepare_out(cfg)
     result = run_experiment(spec, train_data, test_data)
     path.write_text(results_csv(result, wall_time=cfg["timing"] == "wall"))
@@ -266,7 +282,7 @@ def cmd_pairs(cfg: dict[str, str]) -> int:
 
 
 def cmd_gradcheck(cfg: dict[str, str]) -> int:
-    report = check_model_grads(_arch_from(cfg), _to_int(cfg, "seed"),
+    report = check_model_grads(_arch_from(cfg), _to_seed(cfg, "seed"),
                                tol=_to_float(cfg, "tol"), eps=_to_float(cfg, "eps"))
     path = _prepare_out(cfg)
     path.write_text(report.to_csv())

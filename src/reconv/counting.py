@@ -1,14 +1,19 @@
-"""Parameter accounting and matched-pair search.
+"""Parameter accounting: the count formula, matched pairs and
+iso-parameter contours.
 
-A tied model reuses one kernel/bias pair for every hidden layer, so its
-parameter count is independent of depth; an untied model pays for each
-layer. ``match_pairs`` exhaustively enumerates (untied M, tied M) pairs
-whose totals agree within a tolerance, which is what lets depth- and
-width-controlled comparisons hold the budget fixed.
+A model's parameter count is a quadratic in its feature-map count M. A
+tied model reuses one kernel/bias pair for every hidden layer, so its
+count is independent of depth; an untied model pays for each layer.
+``param_count`` evaluates the quadratic. ``match_pairs`` exhaustively
+enumerates (untied M, tied M) pairs whose totals agree within a
+tolerance, which is what lets depth- and width-controlled comparisons
+hold the budget fixed. ``emit_contours`` inverts the quadratic for the
+real M that reaches a given count at each depth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +22,7 @@ from .model import ArchConfig
 from .table import csv_text
 
 
-def count_coefficients(config: ArchConfig) -> tuple[int, int, int]:
+def _count_coefficients(config: ArchConfig) -> tuple[int, int, int]:
     """(a, b, c) with param_count = a*M^2 + b*M + c for the architecture's
     depth, tying and extents; ``config.feature_maps`` does not enter."""
     l_eff = config.hidden_copies
@@ -36,7 +41,7 @@ def param_count(config: ArchConfig) -> int:
         8*8*3*M + 3*3*M^2*L_eff + M*(L_eff+1) + 64*M*K + K
     where L_eff is the layer count for untied models and 1 for tied.
     """
-    a, b, c = count_coefficients(config)
+    a, b, c = _count_coefficients(config)
     m = config.feature_maps
     return a * m * m + b * m + c
 
@@ -71,7 +76,7 @@ def match_pairs(layers: int, m_range: tuple[int, int],
     ms = np.arange(lo, hi + 1, dtype=np.int64)
 
     def counts(tied: bool) -> np.ndarray:
-        a, b, c = count_coefficients(ArchConfig(lo, layers, tied))
+        a, b, c = _count_coefficients(ArchConfig(lo, layers, tied))
         return a * ms * ms + b * ms + c
 
     p_untied, p_tied = counts(False), counts(True)
@@ -100,3 +105,56 @@ def pairs_csv(pairs: list[ModelPair]) -> str:
     return csv_text(["L", "m_untied", "m_tied", "p_untied", "p_tied", "rel_diff"],
                     ([p.layers, p.m_untied, p.m_tied, p.p_untied, p.p_tied, p.rel_diff]
                      for p in pairs))
+
+
+@dataclass(frozen=True)
+class ContourRow:
+    """One point of the iso-parameter contour table. Grid cells carry
+    level_id -1 and their own (integer) M; polyline points carry the real
+    M solving count(M, L) = level for their level's value."""
+
+    m: float
+    layers: int
+    param_count: int
+    level_id: int
+
+
+def _solve_m(level: int, layers: int, tied: bool) -> float:
+    """Positive real M with param_count(M, layers, tied) == level, using
+    the default extents. The count is quadratic in M."""
+    a, b, c = _count_coefficients(ArchConfig(feature_maps=1, layers=layers, tied=tied))
+    c -= level
+    return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+
+
+def emit_contours(m_list: list[int], l_list: list[int], kind: str) -> list[ContourRow]:
+    """Parameter counts over the (M, L) grid plus iso-parameter polylines.
+
+    Levels are the counts of the grid's corner cells (deduplicated,
+    ascending). Tied counts do not depend on L, so tied polylines are
+    horizontal. ``kind`` is "tied" or "untied".
+    """
+    if kind not in ("tied", "untied"):
+        raise ValueError(f"kind must be 'tied' or 'untied', got {kind!r}")
+    if not m_list or not l_list:
+        raise ValueError("m_list and l_list must be nonempty")
+    tied = kind == "tied"
+
+    def count(m: int, l: int) -> int:
+        return param_count(ArchConfig(feature_maps=m, layers=l, tied=tied))
+
+    rows = [ContourRow(m=float(m), layers=l, param_count=count(m, l), level_id=-1)
+            for m in m_list for l in l_list]
+    corners = {count(m, l) for m in (min(m_list), max(m_list))
+               for l in (min(l_list), max(l_list))}
+    for level_id, level in enumerate(sorted(corners)):
+        for l in l_list:
+            rows.append(ContourRow(m=_solve_m(level, l, tied), layers=l,
+                                   param_count=level, level_id=level_id))
+    return rows
+
+
+def contours_csv(rows: list[ContourRow]) -> str:
+    """CSV with columns M, L, param_count, level_id."""
+    return csv_text(["M", "L", "param_count", "level_id"],
+                    ([r.m, r.layers, r.param_count, r.level_id] for r in rows))

@@ -98,6 +98,16 @@ def _planes_to_codes(pixel_bytes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(planes.transpose(0, 2, 3, 1))
 
 
+def _check_labels(path, labels: np.ndarray, num_classes: int) -> None:
+    """Raise a FormatError naming the first record of ``path`` whose
+    label is ``num_classes`` or more."""
+    bad = np.nonzero(labels >= num_classes)[0]
+    if bad.size:
+        raise FormatError(
+            f"{path}: label {labels[bad[0]]} >= {num_classes} in record {bad[0]}",
+            record=int(bad[0]))
+
+
 def load_cifar10(paths) -> Dataset:
     """Parse one or more CIFAR-10 binary batch files into a single
     dataset, preserving record order across files."""
@@ -117,12 +127,7 @@ def load_cifar10(paths) -> Dataset:
                 f"incomplete record starts at byte offset {offset}",
                 offset=offset)
         records = raw.reshape(-1, RECORD_BYTES)
-        batch_labels = records[:, 0]
-        bad = np.nonzero(batch_labels > 9)[0]
-        if bad.size:
-            raise FormatError(
-                f"{path}: label byte {batch_labels[bad[0]]} > 9 in record {bad[0]}",
-                record=int(bad[0]))
+        _check_labels(path, records[:, 0], 10)
         batches.append(records)
     records = np.concatenate(batches)
     del batches             # free the per-file buffers before the codes are copied
@@ -144,11 +149,7 @@ def load_raw(image_path, label_path, n: int, num_classes: int = 10) -> Dataset:
         raise FormatError(
             f"{label_path}: expected {n} label bytes, found {len(label_bytes)}")
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    bad = np.nonzero(labels >= num_classes)[0]
-    if bad.size:
-        raise FormatError(
-            f"{label_path}: label {labels[bad[0]]} >= {num_classes} "
-            f"in record {bad[0]}", record=int(bad[0]))
+    _check_labels(label_path, labels, num_classes)
     codes = _planes_to_codes(np.frombuffer(image_bytes, dtype=np.uint8))
     return Dataset._stored(codes, labels, num_classes=num_classes)
 

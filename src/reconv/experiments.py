@@ -1,4 +1,5 @@
-"""Declarative grid and pair experiments over (feature maps, layers, tying).
+"""The sweep runner: declarative grid and pair experiments over
+(feature maps, layers, tying).
 
 Four experiment kinds cover the controlled comparisons the architecture
 enables:
@@ -23,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .counting import count_coefficients, match_pairs, param_count
+from .counting import match_pairs, param_count
 from .data import Dataset
 from .errors import ReconvError
 from .model import ArchConfig, error_rate
@@ -185,56 +186,3 @@ def results_csv(result: ExperimentResult, wall_time: bool = False) -> str:
         ([c.kind, c.tied, c.feature_maps, c.layers, c.param_count, c.train_error,
           c.test_error, c.seed, c.epochs, c.seconds if wall_time else 0.0, c.error]
          for c in result.cells))
-
-
-@dataclass(frozen=True)
-class ContourRow:
-    """One point of the iso-parameter contour table. Grid cells carry
-    level_id -1 and their own (integer) M; polyline points carry the real
-    M solving count(M, L) = level for their level's value."""
-
-    m: float
-    layers: int
-    param_count: int
-    level_id: int
-
-
-def _solve_m(level: int, layers: int, tied: bool) -> float:
-    """Positive real M with param_count(M, layers, tied) == level, using
-    the default extents. The count is quadratic in M."""
-    a, b, c = count_coefficients(ArchConfig(feature_maps=1, layers=layers, tied=tied))
-    c -= level
-    return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-
-
-def emit_contours(m_list: list[int], l_list: list[int], kind: str) -> list[ContourRow]:
-    """Parameter counts over the (M, L) grid plus iso-parameter polylines.
-
-    Levels are the counts of the grid's corner cells (deduplicated,
-    ascending). Tied counts do not depend on L, so tied polylines are
-    horizontal. ``kind`` is "tied" or "untied".
-    """
-    if kind not in ("tied", "untied"):
-        raise ValueError(f"kind must be 'tied' or 'untied', got {kind!r}")
-    if not m_list or not l_list:
-        raise ValueError("m_list and l_list must be nonempty")
-    tied = kind == "tied"
-
-    def count(m: int, l: int) -> int:
-        return param_count(ArchConfig(feature_maps=m, layers=l, tied=tied))
-
-    rows = [ContourRow(m=float(m), layers=l, param_count=count(m, l), level_id=-1)
-            for m in m_list for l in l_list]
-    corners = {count(m, l) for m in (min(m_list), max(m_list))
-               for l in (min(l_list), max(l_list))}
-    for level_id, level in enumerate(sorted(corners)):
-        for l in l_list:
-            rows.append(ContourRow(m=_solve_m(level, l, tied), layers=l,
-                                   param_count=level, level_id=level_id))
-    return rows
-
-
-def contours_csv(rows: list[ContourRow]) -> str:
-    """CSV with columns M, L, param_count, level_id."""
-    return csv_text(["M", "L", "param_count", "level_id"],
-                    ([r.m, r.layers, r.param_count, r.level_id] for r in rows))

@@ -162,26 +162,25 @@ def relu_grad(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def l2norm_pixel(z: np.ndarray, eps: float = L2NORM_EPS) -> np.ndarray:
+def l2norm_pixel(z: np.ndarray) -> np.ndarray:
     """Rescale each spatial position's channel vector to unit L2 norm,
-    dividing by max(norm, eps) so all-zero pixels stay zero."""
+    dividing by max(norm, L2NORM_EPS) so all-zero pixels stay zero."""
     norms = np.sqrt((z * z).sum(axis=2, keepdims=True))
-    return z / np.maximum(norms, eps)
+    return z / np.maximum(norms, L2NORM_EPS)
 
 
-def l2norm_pixel_grad(grad_out: np.ndarray, z: np.ndarray,
-                      eps: float = L2NORM_EPS) -> np.ndarray:
+def l2norm_pixel_grad(grad_out: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Adjoint of l2norm_pixel.
 
     Per pixel: (I - zhat zhat^T) / ||z|| applied to the cotangent when
-    ||z|| > eps, and plain 1/eps scaling otherwise (the forward map is
-    linear there).
+    ||z|| > L2NORM_EPS, and plain 1/L2NORM_EPS scaling otherwise (the
+    forward map is linear there).
     """
     norms = np.sqrt((z * z).sum(axis=2, keepdims=True))
-    safe = np.maximum(norms, eps)
+    safe = np.maximum(norms, L2NORM_EPS)
     zhat = z / safe
     projected = grad_out - zhat * (zhat * grad_out).sum(axis=2, keepdims=True)
-    return np.where(norms > eps, projected / safe, grad_out / eps)
+    return np.where(norms > L2NORM_EPS, projected / safe, grad_out / L2NORM_EPS)
 
 
 def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -118,6 +118,7 @@ def test_criterion_07_memorizes_random_labels():
     report(7, f"0% training error on 32 random labels at epoch {first_zero} (< 200)")
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_learning_signal():
     train_data = make_synthetic(2000, seed=0)
     test_data = make_synthetic(500, seed=1)

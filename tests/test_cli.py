@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+from reconv import ArchConfig, TrainConfig, metrics_csv, ops, train
 from reconv.cli import build_parser, main
-from reconv.data import PIXELS_PER_IMAGE, make_synthetic, save_raw
+from reconv.data import PIXELS_PER_IMAGE, load_raw, make_synthetic, save_raw
 
 
 def run(argv):
@@ -45,6 +46,19 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
     rows = read_rows(out / "gradcheck.csv")
     assert rows[0] == ["tensor", "max_rel_err", "pass"]
     assert all(r[2] == "true" for r in rows[1:])
+
+
+def test_a_failing_gradcheck_writes_its_report_and_exits_numeric(tmp_path, capsys,
+                                                                 monkeypatch):
+    relu_grad = ops.relu_grad
+    monkeypatch.setattr(ops, "relu_grad", lambda g, x: -relu_grad(g, x))
+    out = tmp_path / "gc"
+    assert run(["gradcheck", "--m", "2", "--l", "1", "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert "overall: FAIL" in captured.out
+    assert "numeric" in captured.err
+    rows = read_rows(out / "gradcheck.csv")
+    assert "false" in {r[2] for r in rows[1:]}
 
 
 @pytest.mark.parametrize("eps", ["nan", "0", "-1e-5", "inf"])
@@ -94,6 +108,47 @@ def test_train_runs_and_replays_from_manifest(tmp_path):
     assert (out / "metrics.csv").read_bytes() == first
 
 
+def test_raw_data_train_equals_training_on_the_loaded_files(tmp_path):
+    files = []
+    for n, seed, name in ((12, 0, "train"), (6, 1, "test")):
+        images, labels = tmp_path / f"{name}_x.bin", tmp_path / f"{name}_y.bin"
+        save_raw(make_synthetic(n, seed=seed), images, labels)
+        files += [f"--{name}-images", images.name, f"--{name}-labels", labels.name,
+                  f"--n-{name}", str(n)]
+    out = tmp_path / "t"
+    assert run(["train", "--dataset", "raw", "--data-dir", str(tmp_path), *files,
+                "--epochs", "2", "--m", "2", "--l", "1", "--batch-size", "4",
+                "--out", str(out)]) == 0
+    result = train(ArchConfig(feature_maps=2, layers=1),
+                   load_raw(tmp_path / "train_x.bin", tmp_path / "train_y.bin", 12),
+                   load_raw(tmp_path / "test_x.bin", tmp_path / "test_y.bin", 6),
+                   TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3), 0)
+    assert (out / "metrics.csv").read_text() == metrics_csv(result)
+
+
+@pytest.mark.parametrize("source", ["raw", "cifar10"])
+@pytest.mark.parametrize("key,value", [("input_size", "8"), ("classes", "4")])
+def test_data_files_that_do_not_fit_the_model_are_config_errors(tmp_path, capsys,
+                                                                 source, key, value):
+    data = make_synthetic(10, seed=0)          # labels 0..9, 32x32 images
+    save_raw(data, tmp_path / "x.bin", tmp_path / "y.bin")
+    planes = (tmp_path / "x.bin").read_bytes()
+    (tmp_path / "batch.bin").write_bytes(b"".join(
+        bytes([k]) + planes[k * PIXELS_PER_IMAGE:(k + 1) * PIXELS_PER_IMAGE]
+        for k in range(10)))
+    files = {"raw": ["--train-images", "x.bin", "--train-labels", "y.bin", "--n-train",
+                     "10", "--test-images", "x.bin", "--test-labels", "y.bin",
+                     "--n-test", "10"],
+             "cifar10": ["--train-files", "batch.bin", "--test-files", "batch.bin"]}
+    out = tmp_path / "t"
+    assert run(["train", "--dataset", source, "--data-dir", str(tmp_path),
+                *files[source], f"--{key.replace('_', '-')}", value, "--epochs", "1",
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "config" in err and re.search(rf"\b{key}\b", err)
+    assert not (out / "manifest.txt").exists()
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     for args, artifact in [
         (["pairs", "--layers", "2", "--m-min", "16", "--m-max", "64"], "pairs.csv"),
@@ -102,6 +157,9 @@ def test_cli_outputs_are_deterministic(tmp_path):
         (["gradcheck", "--m", "2", "--l", "1"], "gradcheck.csv"),
         (["train", "--epochs", "1", "--m", "2", "--l", "1",
           "--synth-train", "8", "--synth-test", "4"], "metrics.csv"),
+        # synthetic data is drawn at the model's input size and class count
+        (["train", "--epochs", "1", "--m", "2", "--l", "1", "--input-size", "8",
+          "--classes", "4", "--synth-train", "8", "--synth-test", "4"], "metrics.csv"),
         (["experiment", "--kind", "layers-tied", "--m-list", "2", "--l-list", "1",
           "--epochs", "1", "--synth-train", "8", "--synth-test", "4"], "results.csv"),
     ]:
@@ -233,6 +291,9 @@ def test_abbreviated_flags_are_usage_errors(argv):
 
 def test_invalid_value_is_config_error(tmp_path, capsys):
     small = ["--synth-train", "8", "--synth-test", "4", "--epochs", "1"]
+    no_equals, bad_bool = tmp_path / "no_equals.cfg", tmp_path / "bad_bool.cfg"
+    no_equals.write_text("layers 3\n")
+    bad_bool.write_text("tied=maybe\n")
     for argv in (["pairs", "--layers", "three"], ["pairs", "--tol", "nan"],
                  ["train", "--sigma-v", "nan", *small], ["train", "--sigma-v", "inf", *small],
                  ["train", "--synth-noise", "nan", *small],
@@ -247,7 +308,15 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
                  ["experiment", "--m-list", "0,8", "--l-list", "1", *small],
                  ["experiment", "--m-list", "8", "--l-list", "0", *small],
                  ["experiment", "--seeds=-1", "--m-list", "8", "--l-list", "1", *small],
-                 ["train", "--seed=-1", *small], ["train", "--shuffle-seed=-1", *small]):
+                 ["train", "--seed=-1", *small], ["train", "--shuffle-seed=-1", *small],
+                 ["pairs", "--config", str(tmp_path / "missing.cfg")],
+                 ["pairs", "--config", str(no_equals)],
+                 ["gradcheck", "--config", str(bad_bool)],
+                 ["pairs", "--tol", "small"], ["contours", "--m-list", "8,x"],
+                 ["train", "--dataset", "raw", *small],
+                 ["train", "--dataset", "cifar10", *small],
+                 ["train", "--dataset", "mnist", *small],
+                 ["convert-check", "--format", "png"]):
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 3, argv
         assert "config" in capsys.readouterr().err
@@ -258,10 +327,13 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
     ("m_list", ["experiment", "--m-list", "0,8", "--l-list", "1"]),
     ("l_list", ["experiment", "--m-list", "8", "--l-list", "0"]),
     ("seeds", ["experiment", "--seeds=-1", "--m-list", "8", "--l-list", "1"]),
-    ("seed", ["train", "--seed=-1"]), ("shuffle_seed", ["train", "--shuffle-seed=-1"])])
+    ("seed", ["train", "--seed=-1"]), ("shuffle_seed", ["train", "--shuffle-seed=-1"]),
+    ("synth_train_seed", ["train", "--synth-train-seed=-1"]),
+    ("synth_test_seed", ["train", "--synth-test-seed=-1"]),
+    ("seed", ["gradcheck", "--seed=-1", "--m", "2", "--l", "1"])])
 def test_a_bad_seed_or_list_entry_names_its_key(tmp_path, capsys, key, argv):
-    assert run([*argv, "--synth-train", "8", "--synth-test", "4",
-                "--out", str(tmp_path)]) == 3
+    small = [] if argv[0] == "gradcheck" else ["--synth-train", "8", "--synth-test", "4"]
+    assert run([*argv, *small, "--out", str(tmp_path)]) == 3
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
