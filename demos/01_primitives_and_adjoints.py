@@ -60,5 +60,6 @@ analytic = ops.conv2d_same_kernel_grad(x, g, (3, 3))
 print(f"conv kernel adjoint vs finite differences: "
       f"max abs diff {np.abs(analytic - fd).max():.2e}")
 
-probs = ops.softmax(rng.standard_normal(10))
-print(f"softmax sums to one: {probs.sum():.15f}")
+probs, nll = ops.softmax(rng.standard_normal(10))
+print(f"softmax sums to one: {probs.sum():.15f}; "
+      f"nll = -log p: {np.allclose(nll, -np.log(probs))}")

@@ -5,7 +5,7 @@ so reaching 0% training error is purely a test of model capacity and of
 the optimizer actually descending. A tied model with 16 maps and 2
 hidden layers memorizes the set in a few dozen epochs.
 
-Run:  python3 demos/03_memorize_random_labels.py    (about half a minute)
+Run:  python3 demos/03_memorize_random_labels.py    (a few seconds)
 """
 
 import numpy as np

@@ -6,7 +6,7 @@ extra parameters. This runs the "layers-tied" experiment kind on the
 synthetic color dataset and writes the same results CSV the command-line
 runner produces.
 
-Run:  python3 demos/04_depth_experiment.py    (about a minute)
+Run:  python3 demos/04_depth_experiment.py    (a few seconds)
 """
 
 from pathlib import Path

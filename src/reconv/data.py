@@ -138,6 +138,8 @@ def load_cifar10(paths) -> Dataset:
 def load_raw(image_path, label_path, n: int, num_classes: int = 10) -> Dataset:
     """Load the raw interchange format: n*3072 image bytes plus n label
     bytes, validated against the expected sizes."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     image_bytes = Path(image_path).read_bytes()
     expected = n * PIXELS_PER_IMAGE
     if len(image_bytes) != expected:

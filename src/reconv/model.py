@@ -266,6 +266,20 @@ def _check_label(cfg: ArchConfig, label: int) -> None:
         raise ShapeError(f"label {label} outside [0, {cfg.classes})")
 
 
+def check_dataset(cfg: ArchConfig, data, name: str) -> None:
+    """Raise a ShapeError naming the dataset ``name`` unless ``data`` is
+    nonempty and fits the model: images of its input shape and labels
+    below its classes. A dataset's images share one shape and its labels
+    are never negative, so the first image and the top label tell."""
+    if len(data) == 0:
+        raise ShapeError(f"{name}: dataset must be nonempty")
+    try:
+        _checked_image(cfg, data.floats(0))
+        _check_label(cfg, int(data.labels.max()))
+    except ShapeError as exc:
+        raise ShapeError(f"{name}: {exc}") from None
+
+
 def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> float:
     """Accumulate one example's gradients into ``grads``; returns its loss.
     A tied kernel and bias get one addition per application."""
@@ -424,11 +438,11 @@ def error_rate(params: Params, data) -> float:
     about 30 ms in a 250 MB process, so on a few dozen images or fewer a
     call is slower than on one core. An exception in a helper is raised
     here with its own type, and a helper that dies raises
-    ``BrokenProcessPool``.
+    ``BrokenProcessPool``. Data that does not fit the model
+    (``check_dataset``) raises a ShapeError before any work.
     """
+    check_dataset(params.config, data, "data")
     n = len(data)
-    if n == 0:
-        raise ShapeError("error_rate needs a nonempty dataset")
     # The helpers inherit params with the data, so no task pickles them:
     # the pool's feeder thread would do that in a malloc arena of its own,
     # which keeps the freed memory (2 MB of the depth-sweep benchmark's

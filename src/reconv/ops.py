@@ -18,6 +18,10 @@ Conventions:
 offset = (extent - 1) // 2, applied uniformly to odd and even extents,
 and reads out-of-bounds input as zero. With an 8x8 kernel this pads 3
 rows/columns before and 4 after, keeping a 32x32 input 32x32.
+
+Every convolution op is one patch matrix (``_im2col``) and one GEMM: the
+input adjoint is the forward correlation of the cotangent with the
+flipped, channel-swapped kernel and extent // 2 zeros before.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .errors import ShapeError
 L2NORM_EPS = 1e-12
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-pad ``x`` for a same-size convolution and unfold it into a
-    (H*W, kh*kw*Cin) patch matrix.
+def _im2col(x: np.ndarray, kh: int, kw: int, top: int, left: int) -> np.ndarray:
+    """Zero-pad ``x`` to (H + kh - 1, W + kw - 1), ``top`` rows and ``left``
+    columns before, and unfold it into a (H*W, kh*kw*Cin) patch matrix.
 
     The windows are a strided view of the padded input with shape
     (H, W, kh, kw*Cin): window (i, j) row u is the one contiguous run of
@@ -43,9 +47,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     whose windows do not overlap, it copies nothing.
     """
     h, w, cin = x.shape
-    oh, ow = (kh - 1) // 2, (kw - 1) // 2
     padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.float64)
-    padded[oh:oh + h, ow:ow + w] = x
+    padded[top:top + h, left:left + w] = x
     row, col, item = padded.strides
     windows = np.ndarray((h, w, kh, kw * cin), np.float64, buffer=padded,
                          strides=(row, col, row, item))
@@ -70,7 +73,7 @@ def conv2d_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if kcin != cin:
         raise ShapeError(
             f"kernel expects {kcin} input channels, input has {cin}")
-    cols = _im2col(x, kh, kw)
+    cols = _im2col(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2)
     out = cols @ kernels.reshape(kh * kw * cin, cout)
     return out.reshape(h, w, cout)
 
@@ -78,23 +81,19 @@ def conv2d_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 def conv2d_same_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Adjoint of conv2d_same with respect to its input.
 
-    Scatters each output cotangent back through the kernel taps; equal to
-    correlating ``grad_out`` with the spatially flipped, channel-transposed
-    kernel under the same zero padding.
+    dx(p, q, ci) = sum over (u, v, co) of
+        kernels(kh-1-u, kw-1-v, ci, co) * grad_out(p + u - kh//2, q + v - kw//2, co),
+    the forward correlation with the flipped, channel-swapped kernel and
+    (kh//2, kw//2) zeros before instead of ((kh-1)//2, (kw-1)//2).
     """
     h, w, cout = grad_out.shape
     kh, kw, cin, kcout = kernels.shape
     if kcout != cout:
         raise ShapeError(
             f"kernel produces {kcout} output channels, cotangent has {cout}")
-    kmat = kernels.reshape(kh * kw * cin, cout)
-    dcols = (grad_out.reshape(h * w, cout) @ kmat.T).reshape(h, w, kh, kw, cin)
-    padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.float64)
-    for u in range(kh):
-        for v in range(kw):
-            padded[u:u + h, v:v + w] += dcols[:, :, u, v, :]
-    oh, ow = (kh - 1) // 2, (kw - 1) // 2
-    return np.ascontiguousarray(padded[oh:oh + h, ow:ow + w])
+    cols = _im2col(grad_out, kh, kw, kh // 2, kw // 2)
+    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
+    return (cols @ flipped).reshape(h, w, cin)
 
 
 def conv2d_same_kernel_grad(
@@ -109,7 +108,7 @@ def conv2d_same_kernel_grad(
     if (gh, gw) != (h, w):
         raise ShapeError(
             f"cotangent spatial extent {(gh, gw)} does not match input {(h, w)}")
-    cols = _im2col(np.asarray(x, dtype=np.float64), kh, kw)
+    cols = _im2col(np.asarray(x, dtype=np.float64), kh, kw, (kh - 1) // 2, (kw - 1) // 2)
     dk = cols.T @ grad_out.reshape(h * w, cout)
     return dk.reshape(kh, kw, cin, cout)
 

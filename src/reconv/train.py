@@ -31,8 +31,9 @@ import numpy as np
 
 from .data import Dataset, minibatches
 from .errors import NumericError, ShapeError
-from .model import (BLOCK, ArchConfig, Params, add_block_sums, block_sums, count_errors,
-                    init_params, loss_and_grads, zeros_like_params)
+from .model import (BLOCK, ArchConfig, Params, add_block_sums, block_sums,
+                    check_dataset, count_errors, init_params, loss_and_grads,
+                    zeros_like_params)
 from .pool import helpers, shared
 from .table import csv_text
 
@@ -146,10 +147,12 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
     minibatch loss aborts with a diagnostic naming the epoch, the batch and
     the first gradient tensor holding a non-finite value. An exception
     in a helper process is raised here with its own type, and a helper
-    that dies raises ``BrokenProcessPool``.
+    that dies raises ``BrokenProcessPool``. A dataset that does not fit
+    ``arch`` (``model.check_dataset``) raises a ShapeError before any
+    training.
     """
-    if len(train_data) == 0 or len(test_data) == 0:
-        raise ShapeError("train and test datasets must be nonempty")
+    check_dataset(arch, train_data, "train_data")
+    check_dataset(arch, test_data, "test_data")
     params = init_params(arch, seed)
     state = TrainState.fresh(params)
     records: list[EpochRecord] = []

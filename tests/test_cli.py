@@ -294,6 +294,10 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
     no_equals, bad_bool = tmp_path / "no_equals.cfg", tmp_path / "bad_bool.cfg"
     no_equals.write_text("layers 3\n")
     bad_bool.write_text("tied=maybe\n")
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    raw = ["--dataset", "raw", "--train-images", str(empty), "--train-labels", str(empty),
+           "--test-images", str(empty), "--test-labels", str(empty)]
     for argv in (["pairs", "--layers", "three"], ["pairs", "--tol", "nan"],
                  ["train", "--sigma-v", "nan", *small], ["train", "--sigma-v", "inf", *small],
                  ["train", "--synth-noise", "nan", *small],
@@ -316,7 +320,11 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
                  ["train", "--dataset", "raw", *small],
                  ["train", "--dataset", "cifar10", *small],
                  ["train", "--dataset", "mnist", *small],
-                 ["convert-check", "--format", "png"]):
+                 ["convert-check", "--format", "png"],
+                 ["train", *raw, "--n-train", "-1", *small],
+                 ["train", *raw, "--n-test", "-1", *small],
+                 ["convert-check", "--images", str(empty), "--labels", str(empty),
+                  "--n", "-1"]):
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 3, argv
         assert "config" in capsys.readouterr().err

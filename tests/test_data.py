@@ -142,6 +142,15 @@ def test_load_raw_size_mismatches(tmp_path):
         load_raw(img, lab, n=2)
 
 
+def test_load_raw_negative_count_is_a_value_error_not_a_format_error(tmp_path):
+    img, lab = tmp_path / "img.bin", tmp_path / "lab.bin"
+    img.write_bytes(b"")
+    lab.write_bytes(b"")
+    with pytest.raises(ValueError, match="n must be >= 0") as err:
+        load_raw(img, lab, n=-1)
+    assert not isinstance(err.value, FormatError)
+
+
 def test_load_raw_label_range(tmp_path):
     img, lab = tmp_path / "img.bin", tmp_path / "lab.bin"
     img.write_bytes(bytes(PIXELS_PER_IMAGE))

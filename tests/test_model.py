@@ -468,6 +468,22 @@ def test_error_rate_on_any_core_count_equals_the_serial_count(monkeypatch, cores
     assert error_rate(params, data) == wrong / n
 
 
+def test_error_rate_rejects_labels_the_model_cannot_predict():
+    # a label at or above classes would otherwise count as a silent error
+    params = init_params(ArchConfig(feature_maps=2, layers=1, input_h=8, input_w=8,
+                                    classes=3), seed=0)
+    data = _dataset(np.zeros((4, 8, 8, 3)), [0, 1, 5, 9])
+    with pytest.raises(ShapeError, match=r"data: label 9 outside \[0, 3\)"):
+        error_rate(params, data)
+
+
+def test_error_rate_rejects_images_of_another_shape_before_any_work(monkeypatch):
+    params = init_params(tiny_cfg(), seed=0)
+    monkeypatch.setattr(model, "helpers", None)     # no split, no classification
+    with pytest.raises(ShapeError, match=r"data: expected image shape \(8, 8, 3\)"):
+        error_rate(params, _dataset(np.zeros((3, 16, 16, 3)), [0, 1, 2]))
+
+
 def test_error_rate_empty_dataset_raises():
     params = init_params(tiny_cfg(), seed=0)
     with pytest.raises(ShapeError):

@@ -25,6 +25,22 @@ def conv2d_same_reference(x, kernels):
     return out
 
 
+def conv2d_same_input_grad_scatter(grad_out, kernels):
+    """The input adjoint as a tap scatter: each output cotangent is sent
+    back through every kernel tap into a padded buffer, which is cropped
+    to the input."""
+    h, w, cout = grad_out.shape
+    kh, kw, cin, _ = kernels.shape
+    kmat = kernels.reshape(kh * kw * cin, cout)
+    dcols = (grad_out.reshape(h * w, cout) @ kmat.T).reshape(h, w, kh, kw, cin)
+    padded = np.zeros((h + kh - 1, w + kw - 1, cin))
+    for u in range(kh):
+        for v in range(kw):
+            padded[u:u + h, v:v + w] += dcols[:, :, u, v, :]
+    oh, ow = (kh - 1) // 2, (kw - 1) // 2
+    return padded[oh:oh + h, ow:ow + w]
+
+
 def identity_kernel(extent, channels):
     k = np.zeros((extent, extent, channels, channels))
     k[(extent - 1) // 2, (extent - 1) // 2] = np.eye(channels)
@@ -92,6 +108,23 @@ def test_conv_adjoints_are_exact_transposes():
                             rtol=1e-12)
         npt.assert_allclose(lhs, np.vdot(k, ops.conv2d_same_kernel_grad(x, g, (kh, kw))),
                             rtol=1e-12)
+
+
+@pytest.mark.parametrize("kh,kw", [(1, 1), (1, 3), (2, 4), (3, 3), (4, 4), (5, 2), (8, 8)])
+@pytest.mark.parametrize("channels", [1, 3, 16])
+@pytest.mark.parametrize("h,w", [(2, 2), (6, 4), (8, 8)])
+def test_conv_input_grad_matches_tap_scatter(kh, kw, channels, h, w):
+    rng = np.random.default_rng([kh, kw, channels, h, w])
+    k = rng.standard_normal((kh, kw, channels, channels + 1))
+    g = rng.standard_normal((h, w, channels + 1))
+    grad = ops.conv2d_same_input_grad(g, k)
+    assert grad.shape == (h, w, channels) and grad.flags.c_contiguous
+    # relative to the largest entry: an entry summed with cancellation
+    # carries the rounding of its largest terms, not of its own size
+    ref = conv2d_same_input_grad_scatter(g, k)
+    assert np.abs(grad - ref).max() <= 1e-14 * np.abs(ref).max()
+    if kh == kw == 1:
+        assert np.array_equal(grad, ref)
 
 
 def test_conv_adjoints_match_finite_differences():
@@ -291,11 +324,10 @@ def test_all_primitives_finite_on_finite_inputs():
 # and every result must match them bit for bit.
 
 
-def im2col_reference(x, kh, kw):
+def im2col_reference(x, kh, kw, top, left):
     h, w, cin = x.shape
-    oh, ow = (kh - 1) // 2, (kw - 1) // 2
     padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.float64)
-    padded[oh:oh + h, ow:ow + w] = x
+    padded[top:top + h, left:left + w] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw, cin))
     return windows.reshape(h * w, kh * kw * cin)
 
@@ -358,10 +390,12 @@ REFERENCE_OPS = {
 @pytest.mark.parametrize("h,w", [(2, 2), (6, 4), (32, 32)])
 def test_im2col_bit_identical_to_sliding_window_view(kh, kw, cin, h, w):
     x = np.random.default_rng([kh, kw, cin, h, w]).standard_normal((h, w, cin))
-    cols = ops._im2col(x, kh, kw)
-    assert cols.shape == (h * w, kh * kw * cin)
-    assert cols.flags.c_contiguous
-    assert np.array_equal(cols, im2col_reference(x, kh, kw))
+    # the forward's zeros before, then the input adjoint's
+    for top, left in [((kh - 1) // 2, (kw - 1) // 2), (kh // 2, kw // 2)]:
+        cols = ops._im2col(x, kh, kw, top, left)
+        assert cols.shape == (h * w, kh * kw * cin)
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, im2col_reference(x, kh, kw, top, left))
 
 
 @pytest.mark.parametrize("h,w,m,size", [(8, 8, 16, 4), (32, 32, 3, 4), (4, 6, 2, 2)])

@@ -1,3 +1,4 @@
+import importlib
 import math
 import multiprocessing
 import os
@@ -154,6 +155,19 @@ def test_empty_dataset_rejected():
     empty = make_synthetic(4, seed=0).subset(np.array([], dtype=int))
     with pytest.raises(ShapeError):
         train(arch, empty, empty, TrainConfig(epochs=1), seed=0)
+
+
+@pytest.mark.parametrize("name", ["train_data", "test_data"])
+def test_data_that_does_not_fit_the_model_is_rejected_before_training(monkeypatch, name):
+    arch = small_arch(input_h=8, input_w=8, classes=3)
+    fits = make_synthetic(6, seed=0, num_classes=3, size=8)
+    monkeypatch.setattr(importlib.import_module("reconv.train"), "helpers", None)
+    for bad, message in [(make_synthetic(6, seed=0, size=8), r"label 5 outside \[0, 3\)"),
+                         (make_synthetic(6, seed=0, num_classes=3, size=16),
+                          r"expected image shape \(8, 8, 3\), got \(16, 16, 3\)")]:
+        data = {"train_data": fits, "test_data": fits, name: bad}
+        with pytest.raises(ShapeError, match=f"{name}: {message}"):
+            train(arch, data["train_data"], data["test_data"], TrainConfig(epochs=1), seed=0)
 
 
 def test_metrics_csv_layout_and_timing_flag():
