@@ -55,9 +55,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
                    "max_pairs": "0"},
     "pairs": {**_COMMON, "layers": "3", "m_min": "16", "m_max": "256",
               "tol": "0.01"},
-    "gradcheck": {**_COMMON, "m": "4", "l": "3", "tied": "false",
-                  "seed": "0", "tol": "0.0001", "eps": "1e-05",
-                  "input_size": "8", "classes": "10", "sigma_v": "0.1"},
+    "gradcheck": {**_COMMON, **_ARCH, "m": "4", "l": "3", "input_size": "8",
+                  "seed": "0", "tol": "0.0001", "eps": "1e-05"},
     "contours": {**_COMMON, "kind": "untied", "m_list": "8,16,32,64,128",
                  "l_list": "1,2,4,8"},
     "convert-check": {**_COMMON, "format": "raw", "images": "", "labels": "",
@@ -175,31 +174,36 @@ def _listed(cfg: dict[str, str], source: str, key: str) -> list[str]:
 
 def _load_datasets(cfg: dict[str, str], size: int,
                    classes: int) -> tuple[Dataset, Dataset]:
-    """The train and test sets, checked to hold ``size`` x ``size`` images
-    with labels below ``classes``: synthetic data is drawn that way, and
-    files, whose images are 32x32, must fit."""
+    """The train and test sets, checked to hold at least one example each,
+    of ``size`` x ``size`` images with labels below ``classes``: synthetic
+    data is drawn that way, and files, whose images are 32x32, must fit."""
     source = cfg["dataset"]
     if source == "synthetic":
+        keys = ("synth_train", "synth_test")
         noise = _to_float(cfg, "synth_noise")
-        return tuple(make_synthetic(_to_int(cfg, key), _to_seed(cfg, key + "_seed"),
+        sets = tuple(make_synthetic(_to_int(cfg, key), _to_seed(cfg, key + "_seed"),
                                     num_classes=classes, noise=noise, size=size)
-                     for key in ("synth_train", "synth_test"))
-    if source not in ("cifar10", "raw"):
+                     for key in keys)
+    elif source not in ("cifar10", "raw"):
         raise ConfigError(f"dataset must be synthetic, cifar10 or raw, got {source!r}")
-    if size != 32:
+    elif size != 32:
         raise ConfigError(f"key input_size: dataset={source} images are 32x32, got {size}")
-    if source == "cifar10":
+    elif source == "cifar10":
+        keys = ("train_files", "test_files")
         sets = tuple(load_cifar10([_resolve_data_path(p, cfg["data_dir"])
                                    for p in _listed(cfg, "dataset=cifar10", key)])
-                     for key in ("train_files", "test_files"))
+                     for key in keys)
     else:
+        keys = ("n_train", "n_test")
         files = _files(cfg, "dataset=raw", "train_images", "train_labels",
                        "test_images", "test_labels")
         # every label byte loads; the check below holds the labels to classes
         sets = (load_raw(*files[:2], _to_int(cfg, "n_train"), 256),
                 load_raw(*files[2:], _to_int(cfg, "n_test"), 256))
-    for data in sets:
-        top = data.labels.max(initial=0)
+    for key, data in zip(keys, sets):
+        if len(data) == 0:
+            raise ConfigError(f"key {key}: dataset={source} holds no examples")
+        top = data.labels.max()
         if top >= classes:
             raise ConfigError(f"dataset={source} holds label {top}, "
                               f"but the model's classes is {classes}")
@@ -262,7 +266,8 @@ def cmd_experiment(cfg: dict[str, str]) -> int:
         tolerance=_to_float(cfg, "tol"),
         seeds=tuple(_to_int_list(cfg, "seeds")),
         max_pairs=_to_int(cfg, "max_pairs"))
-    train_data, test_data = _load_datasets(cfg, 32, 10)
+    # every cell is an ArchConfig of default input size and classes
+    train_data, test_data = _load_datasets(cfg, ArchConfig.input_h, ArchConfig.classes)
     path = _prepare_out(cfg)
     result = run_experiment(spec, train_data, test_data)
     path.write_text(results_csv(result, wall_time=cfg["timing"] == "wall"))
@@ -342,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--tied", dest=dest, action="store_const", const="true")
                 p.add_argument("--untied", dest=dest, action="store_const", const="false")
             else:
-                p.add_argument("--" + key.replace("_", "-"), dest=dest,
-                               choices=["none", "wall"] if key == "timing" else None)
+                p.add_argument("--" + key.replace("_", "-"), dest=dest)
     return parser
 
 

@@ -140,6 +140,8 @@ def load_raw(image_path, label_path, n: int, num_classes: int = 10) -> Dataset:
     bytes, validated against the expected sizes."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     image_bytes = Path(image_path).read_bytes()
     expected = n * PIXELS_PER_IMAGE
     if len(image_bytes) != expected:
@@ -200,9 +202,11 @@ def make_synthetic(n: int, seed: int, num_classes: int = 10,
 
     with u drawn i.i.d. uniform per pixel and channel. Labels cycle
     0, 1, ..., num_classes-1, so classes are balanced up to remainder.
-    Deterministic in (n, seed, num_classes, noise, size); ``noise`` must
-    be finite.
+    Deterministic in (n, seed, num_classes, noise, size); ``n`` must be
+    at least 0 and ``noise`` finite.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if not np.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)

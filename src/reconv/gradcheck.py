@@ -6,7 +6,8 @@ where no kink sits inside the perturbation interval. ``check_model_grads``
 therefore (a) moves the evaluation point away from kinks (bias shift,
 small kernel jitter, a random classifier so conv gradients are nonzero)
 and (b) detects any coordinate whose +/-eps evaluations straddle a kink,
-skipping it and reporting the skip count.
+by their tapes' ``model.kink_signature``, skipping it and reporting the
+skip count.
 
 Each evaluation is one ``forward`` call. A tensor's first evaluation is a
 full pass; every later one resumes, from that first tape, at the first
@@ -21,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import NumericError
 from .model import (ArchConfig, Params, Tape, first_stages, forward, init_params,
-                    loss_and_grads, untie)
+                    kink_signature, loss_and_grads, untie)
 from .table import csv_text
 
 REL_ERR_FLOOR = 1e-8
@@ -97,7 +98,6 @@ class GradReport:
     checks: list[TensorCheck]
     tolerance: float
     tied_sum_rel_err: float | None = None
-    tied_sum_tol: ClassVar[float] = TIED_SUM_TOL
 
     def _tied_sum_passed(self) -> bool:
         """The cross-check's verdict, true when there is none; a NaN
@@ -124,18 +124,6 @@ class GradReport:
                          f"{self.tied_sum_rel_err:.3e}  {status}")
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def _kink_signature(tape: Tape, start: int) -> bytes:
-    """Discrete state of the piecewise-linear forward pass from stage
-    ``start`` on: ReLU sign masks and pooling winners. If it differs
-    between the +eps and -eps evaluations, the secant crosses a kink.
-    Earlier stages are the same arrays in both tapes, so they cannot
-    differ. The parts' shapes are fixed by the architecture, so equal
-    bytes mean equal parts."""
-    parts = [tape.pre_pool > 0, tape.pool_argmax] if start == 0 else []
-    parts.extend(h > 0 for h in tape.hidden[max(start, 1):])
-    return b"".join(part.tobytes() for part in parts)
 
 
 def _evaluations(params: Params, image: np.ndarray, start: int) -> Callable[[], Tape]:
@@ -197,7 +185,7 @@ def check_model_grads(config: ArchConfig, seed: int, tol: float = 1e-4,
         kept, estimates = [], []
         for i, tape_p, tape_m in _central_differences(
                 theta, eps, _evaluations(params, image, start)):
-            if _kink_signature(tape_p, start) == _kink_signature(tape_m, start):
+            if kink_signature(tape_p, start) == kink_signature(tape_m, start):
                 kept.append(i)
                 estimates.append((tape_p.nll[label] - tape_m.nll[label]) / (2.0 * eps))
         # np.max keeps a NaN, and a NaN error fails the tensor

@@ -9,7 +9,10 @@ normalized and fed to a linear softmax classifier.
 The forward pass records everything the backward pass needs in a Tape;
 ``loss_and_grads`` walks the tape in reverse, chaining the adjoints from
 :mod:`reconv.ops`. For tied models the shared kernel's gradient is the
-sum over all of its applications.
+sum over all of its applications. ``Params.kernel_index`` is the one
+statement of which stored pair a layer applies, and ``kink_signature``
+the one statement of a tape's discrete state (its ReLU masks and pooling
+winners).
 
 Classification (``predict_class``, and through it ``count_errors`` and
 ``error_rate``) records no tape. It takes the 4x4 block maximum of the
@@ -93,7 +96,8 @@ class Params:
     classifier_bias: np.ndarray       # K
 
     def kernel_index(self, layer: int) -> int:
-        return 0 if self.config.tied else layer
+        """Index of the hidden kernel/bias pair that layer ``layer`` applies."""
+        return layer % self.config.hidden_copies
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         """(name, array) pairs in a fixed canonical order."""
@@ -162,13 +166,11 @@ def init_params(config: ArchConfig, seed: int) -> Params:
 def untie(params: Params) -> Params:
     """Expand a tied model into the untied model with identical per-layer
     weights (the oracle for tied/untied equivalence checks)."""
-    if not params.config.tied:
-        return params.copy()
-    cfg = replace(params.config, tied=False)
-    # one reference per layer to the shared pair, each then copied
-    return replace(params, config=cfg,
-                   hidden_kernels=params.hidden_kernels * cfg.layers,
-                   hidden_biases=params.hidden_biases * cfg.layers).copy()
+    pairs = [params.kernel_index(layer) for layer in range(params.config.layers)]
+    # one reference per layer to the pair it applies, each then copied
+    return replace(params, config=replace(params.config, tied=False),
+                   hidden_kernels=[params.hidden_kernels[i] for i in pairs],
+                   hidden_biases=[params.hidden_biases[i] for i in pairs]).copy()
 
 
 @dataclass
@@ -253,6 +255,17 @@ def first_stages(config: ArchConfig) -> list[int]:
     for i in range(config.hidden_copies):
         stages += [1 + i, 1 + i]
     return stages + [config.layers + 1] * 2
+
+
+def kink_signature(tape: Tape, start: int) -> bytes:
+    """The ReLU sign masks and pooling winners that ``tape`` records from
+    stage ``start`` on. If they differ between two tapes, the path between
+    their parameters crosses a kink. Earlier stages are left out, as tapes
+    resumed at ``start`` share them. The architecture fixes the parts'
+    shapes, so equal bytes mean equal parts."""
+    parts = [tape.pre_pool > 0, tape.pool_argmax] if start == 0 else []
+    parts.extend(h > 0 for h in tape.hidden[max(start, 1):])
+    return b"".join(part.tobytes() for part in parts)
 
 
 def nll(params: Params, image: np.ndarray, label: int) -> float:

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from reconv import ArchConfig, TrainConfig, metrics_csv, ops, train
-from reconv.cli import build_parser, main
+from reconv.cli import DEFAULTS, build_parser, main
 from reconv.data import PIXELS_PER_IMAGE, load_raw, make_synthetic, save_raw
 
 
@@ -298,7 +298,8 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
     empty.write_bytes(b"")
     raw = ["--dataset", "raw", "--train-images", str(empty), "--train-labels", str(empty),
            "--test-images", str(empty), "--test-labels", str(empty)]
-    for argv in (["pairs", "--layers", "three"], ["pairs", "--tol", "nan"],
+    cases = [(None, argv) for argv in (
+                 ["pairs", "--layers", "three"], ["pairs", "--tol", "nan"],
                  ["train", "--sigma-v", "nan", *small], ["train", "--sigma-v", "inf", *small],
                  ["train", "--synth-noise", "nan", *small],
                  ["experiment", "--max-pairs", "-1", "--m-list", "8", "--l-list", "1",
@@ -324,10 +325,28 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
                  ["train", *raw, "--n-train", "-1", *small],
                  ["train", *raw, "--n-test", "-1", *small],
                  ["convert-check", "--images", str(empty), "--labels", str(empty),
-                  "--n", "-1"]):
+                  "--n", "-1"],
+                 ["experiment", "--m-list", "", *small], ["experiment", "--l-list", "", *small],
+                 ["experiment", "--seeds", "", *small])] + [
+        # the key named in the message
+        ("synth_train", ["train", *small, "--synth-train", "0"]),
+        ("synth_test", ["train", *small, "--synth-test", "0"]),
+        ("synth_train", ["experiment", "--m-list", "2", "--l-list", "1", *small,
+                         "--synth-train", "0"]),
+        ("n", ["train", *small, "--synth-train", "-1"]),
+        ("n_train", ["train", *raw, "--n-train", "0", "--n-test", "0", *small]),
+        ("train_files", ["train", "--dataset", "cifar10", "--train-files", str(empty),
+                         "--test-files", str(empty), *small]),
+        ("num_classes", ["convert-check", "--images", str(empty), "--labels", str(empty),
+                         "--n", "0", "--classes", "0"]),
+        ("num_classes", ["convert-check", "--images", str(empty), "--labels", str(empty),
+                         "--n", "0", "--classes", "-3"])]
+    for key, argv in cases:
         out = tmp_path / argv[0]
         assert run([*argv, "--out", str(out)]) == 3, argv
-        assert "config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config" in err
+        assert key is None or re.search(rf"\b{key}\b", err), (key, err)
         assert not (out / "manifest.txt").exists(), argv
 
 
@@ -345,8 +364,28 @@ def test_a_bad_seed_or_list_entry_names_its_key(tmp_path, capsys, key, argv):
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
+def test_a_bad_timing_is_the_same_config_error_as_a_flag_or_in_a_file(tmp_path, capsys):
+    cfg = tmp_path / "timing.cfg"
+    cfg.write_text("timing=bogus\n")
+    errors = []
+    for argv in (["pairs", "--timing", "bogus"], ["pairs", "--config", str(cfg)]):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "config" in errors[0] and "timing" in errors[0]
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command", list(DEFAULTS))
+def test_help_lists_every_key_as_a_flag(capsys, command):
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out
+    for key in DEFAULTS[command]:
+        flags = ["--tied", "--untied"] if key == "tied" else ["--" + key.replace("_", "-")]
+        for flag in flags:
+            assert re.search(rf"{flag}\b(?!-)", usage), flag
+
+
 def test_documented_defaults():
-    from reconv.cli import DEFAULTS
     for command in ("train", "experiment"):
         assert DEFAULTS[command]["batch_size"] == "128"
         assert float(DEFAULTS[command]["lr"]) == 1e-3

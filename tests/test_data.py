@@ -158,6 +158,10 @@ def test_load_raw_label_range(tmp_path):
     with pytest.raises(FormatError) as err:
         load_raw(img, lab, n=1, num_classes=10)
     assert err.value.record == 0
+    for classes in (0, -3):
+        with pytest.raises(ValueError, match="num_classes") as err:
+            load_raw(img, lab, n=1, num_classes=classes)
+        assert not isinstance(err.value, FormatError)
 
 
 def test_raw_round_trip_is_byte_lossless(tmp_path):
@@ -222,6 +226,9 @@ def test_dataset_validation():
         Dataset(np.full((1, 4, 4, 3), np.nan), [0])
     with pytest.raises(ShapeError):
         Dataset(np.zeros((1, 32, 32, 3)), np.array([10]))
+    for shape in ((2, 4, 4), (2, 4, 4, 1)):
+        with pytest.raises(ShapeError, match=r"\(N, H, W, 3\)"):
+            Dataset(np.zeros(shape), [0, 0])
 
 
 def test_minibatch_sizes_and_partition():
@@ -270,6 +277,12 @@ def test_make_synthetic_deterministic_and_bounded():
     npt.assert_array_equal(a.labels, b.labels)
     assert a.images.min() >= 0.0 and a.images.max() <= 1.0
     assert a.images.shape == (20, 32, 32, 3)
+
+
+def test_make_synthetic_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"\bn must be >= 0"):
+        make_synthetic(-1, seed=0)
+    assert len(make_synthetic(0, seed=0)) == 0
 
 
 def test_make_synthetic_balanced_labels():

@@ -43,6 +43,12 @@ def test_an_empty_extent_is_rejected(field):
         ArchConfig(feature_maps=2, layers=1, **{field: 0})
 
 
+@pytest.mark.parametrize("field", ["input_h", "input_w"])
+def test_an_input_side_that_is_no_multiple_of_pool_is_rejected(field):
+    with pytest.raises(ValueError, match="not divisible by pool 4"):
+        ArchConfig(feature_maps=2, layers=1, **{field: 10})
+
+
 def test_init_hidden_kernels_act_as_identity():
     params = init_params(tiny_cfg(m=5, l=2, tied=False), seed=3)
     rng = np.random.default_rng(0)
@@ -83,6 +89,13 @@ def test_tied_params_store_single_copy():
     assert len(untied.hidden_kernels) == 5
 
 
+def test_kernel_index_is_the_pair_each_layer_applies():
+    tied = init_params(tiny_cfg(l=5, tied=True), seed=0)
+    untied = init_params(tiny_cfg(l=5, tied=False), seed=0)
+    assert [tied.kernel_index(l) for l in range(5)] == [0] * 5
+    assert [untied.kernel_index(l) for l in range(5)] == list(range(5))
+
+
 # The sweeps pair their cells on these: at one seed every cell starts from
 # the same weights and the same initial function, whatever its depth or tying.
 
@@ -99,6 +112,15 @@ def test_untied_tied_init_is_the_untied_init(m, l):
     untied = init_params(ArchConfig(feature_maps=m, layers=l, tied=False), seed=7)
     assert unrolled.config == untied.config
     assert_same_tensors(unrolled, untied)
+
+
+def test_untie_of_an_untied_model_is_an_unshared_copy():
+    params = generic_params(tiny_cfg(l=3, tied=False), seed=4)
+    unrolled = untie(params)
+    assert unrolled.config == params.config
+    assert_same_tensors(unrolled, params)
+    for (_, x), (_, y) in zip(unrolled.tensors(), params.tensors()):
+        assert not np.shares_memory(x, y)
 
 
 def test_tied_init_does_not_depend_on_depth():

@@ -96,6 +96,17 @@ def test_conv_channel_mismatch_raises():
         ops.conv2d_same(np.zeros((4, 4, 3)), np.zeros((3, 3, 2, 5)))
 
 
+@pytest.mark.parametrize("op,args,message", [
+    (ops.conv2d_same, (np.zeros((4, 4)), np.zeros((3, 3, 1, 2))), "expects"),
+    (ops.conv2d_same_input_grad, (np.zeros((4, 4, 3)), np.zeros((3, 3, 2, 5))),
+     "5 output channels, cotangent has 3"),
+    (ops.conv2d_same_kernel_grad, (np.zeros((4, 4, 2)), np.zeros((4, 5, 3)), (3, 3)),
+     "extent")], ids=["ndim", "channels", "extent"])
+def test_conv_ops_reject_mismatched_shapes(op, args, message):
+    with pytest.raises(ShapeError, match=message):
+        op(*args)
+
+
 def test_conv_adjoints_are_exact_transposes():
     # <conv(x), g> == <x, input_grad(g)> == <k, kernel_grad(x, g)>
     rng = np.random.default_rng(11)

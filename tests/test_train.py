@@ -192,6 +192,8 @@ def test_config_validation():
         TrainConfig(epochs=1, momentum=1.0)
     with pytest.raises(ValueError, match="shuffle_seed"):
         TrainConfig(epochs=1, shuffle_seed=-1)
+    with pytest.raises(ValueError, match="eval_every"):
+        TrainConfig(epochs=1, eval_every=0)
     for lr in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, learning_rate=lr)
