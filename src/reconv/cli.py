@@ -124,11 +124,11 @@ def _to_float(cfg: dict[str, str], key: str) -> float:
         raise ConfigError(f"key {key}: expected number, got {cfg[key]!r}") from exc
 
 
-def _to_seed(cfg: dict[str, str], key: str) -> int:
-    seed = _to_int(cfg, key)
-    if seed < 0:
-        raise ConfigError(f"key {key}: must be >= 0, got {seed}")
-    return seed
+def _to_nonnegative(cfg: dict[str, str], key: str) -> int:
+    value = _to_int(cfg, key)
+    if value < 0:
+        raise ConfigError(f"key {key}: must be >= 0, got {value}")
+    return value
 
 
 def _to_bool(cfg: dict[str, str], key: str) -> bool:
@@ -181,9 +181,10 @@ def _load_datasets(cfg: dict[str, str], size: int,
     if source == "synthetic":
         keys = ("synth_train", "synth_test")
         noise = _to_float(cfg, "synth_noise")
-        sets = tuple(make_synthetic(_to_int(cfg, key), _to_seed(cfg, key + "_seed"),
+        counts = [_to_nonnegative(cfg, key) for key in keys]
+        sets = tuple(make_synthetic(count, _to_nonnegative(cfg, key + "_seed"),
                                     num_classes=classes, noise=noise, size=size)
-                     for key in keys)
+                     for key, count in zip(keys, counts))
     elif source not in ("cifar10", "raw"):
         raise ConfigError(f"dataset must be synthetic, cifar10 or raw, got {source!r}")
     elif size != 32:
@@ -198,8 +199,8 @@ def _load_datasets(cfg: dict[str, str], size: int,
         files = _files(cfg, "dataset=raw", "train_images", "train_labels",
                        "test_images", "test_labels")
         # every label byte loads; the check below holds the labels to classes
-        sets = (load_raw(*files[:2], _to_int(cfg, "n_train"), 256),
-                load_raw(*files[2:], _to_int(cfg, "n_test"), 256))
+        sets = (load_raw(*files[:2], _to_nonnegative(cfg, "n_train"), 256),
+                load_raw(*files[2:], _to_nonnegative(cfg, "n_test"), 256))
     for key, data in zip(keys, sets):
         if len(data) == 0:
             raise ConfigError(f"key {key}: dataset={source} holds no examples")
@@ -246,7 +247,7 @@ def _prepare_out(cfg: dict[str, str]) -> Path:
 def cmd_train(cfg: dict[str, str]) -> int:
     arch = _arch_from(cfg)
     train_cfg = _train_cfg_from(cfg)
-    seed = _to_seed(cfg, "seed")
+    seed = _to_nonnegative(cfg, "seed")
     train_data, test_data = _load_datasets(cfg, arch.input_h, arch.classes)
     path = _prepare_out(cfg)
     result = train(arch, train_data, test_data, train_cfg, seed)
@@ -287,7 +288,7 @@ def cmd_pairs(cfg: dict[str, str]) -> int:
 
 
 def cmd_gradcheck(cfg: dict[str, str]) -> int:
-    report = check_model_grads(_arch_from(cfg), _to_seed(cfg, "seed"),
+    report = check_model_grads(_arch_from(cfg), _to_nonnegative(cfg, "seed"),
                                tol=_to_float(cfg, "tol"), eps=_to_float(cfg, "eps"))
     path = _prepare_out(cfg)
     path.write_text(report.to_csv())

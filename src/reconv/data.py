@@ -203,10 +203,14 @@ def make_synthetic(n: int, seed: int, num_classes: int = 10,
     with u drawn i.i.d. uniform per pixel and channel. Labels cycle
     0, 1, ..., num_classes-1, so classes are balanced up to remainder.
     Deterministic in (n, seed, num_classes, noise, size); ``n`` must be
-    at least 0 and ``noise`` finite.
+    at least 0, ``num_classes`` and ``size`` at least 1, and ``noise``
+    finite.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    for name, value in (("num_classes", num_classes), ("size", size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not np.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)

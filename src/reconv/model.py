@@ -343,29 +343,14 @@ def _as_batch(params: Params, images, labels) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-# Examples per block of a batch sum; fixed, so that the sum does not
-# depend on how many processes compute the blocks.
+# Examples per block of loss_and_grads's gradient sum; fixed, so that
+# the sum does not depend on how many processes compute the blocks.
 BLOCK = 16
 
 
-def block_sums(params: Params, images: np.ndarray,
-               labels) -> Iterator[tuple[float, Params]]:
-    """(loss, gradients) summed over each block of ``BLOCK`` consecutive
-    examples, the last block possibly shorter, for the arguments of
-    ``loss_and_grads``. Each block is summed in example order from zero."""
-    images, labels = _as_batch(params, images, labels)
-    for start in range(0, images.shape[0], BLOCK):
-        grads = zeros_like_params(params)
-        total = 0.0
-        for i in range(start, min(start + BLOCK, images.shape[0])):
-            tape = forward(params, images[i])
-            total += _backward_into(params, tape, int(labels[i]), grads)
-        yield total, grads
-
-
 def add_block_sums(total: float, grads: Params, blocks) -> float:
-    """Add ``block_sums`` output onto a running loss total, returned, and
-    onto ``grads`` in place, block by block."""
+    """Add (loss, gradients) block sums onto a running loss total,
+    returned, and onto ``grads`` in place, block by block."""
     for loss, block in blocks:
         total += loss
         for (_, g), (_, b) in zip(grads.tensors(), block.tensors()):
@@ -378,12 +363,22 @@ def loss_and_grads(params: Params, images: np.ndarray,
     """Summed NLL loss and gradients for one example or a minibatch.
 
     ``images`` may be a single (H, W, C) image with an integer label or an
-    (N, H, W, C) stack with N labels. The sum is the block sums
-    (``block_sums``) added in block order from zero, so a batch cut on
-    block edges sums bit for bit as one, whatever computed its blocks.
+    (N, H, W, C) stack with N labels. Each block of ``BLOCK`` consecutive
+    examples is summed in example order from zero, and the block sums are
+    added in block order from zero. A block sum from zero never holds
+    -0.0, so adding it to zeros is exact: a batch cut on block edges sums
+    bit for bit as one when ``add_block_sums`` adds, in order,
+    ``loss_and_grads`` of its pieces, whatever computed them.
     """
+    images, labels = _as_batch(params, images, labels)
     grads = zeros_like_params(params)
-    total = add_block_sums(0.0, grads, block_sums(params, images, labels))
+    total = 0.0
+    for start in range(0, images.shape[0], BLOCK):
+        block = zeros_like_params(params)
+        loss = 0.0
+        for i in range(start, min(start + BLOCK, images.shape[0])):
+            loss += _backward_into(params, forward(params, images[i]), int(labels[i]), block)
+        total = add_block_sums(total, grads, [(loss, block)])
     return total, grads
 
 
@@ -424,15 +419,19 @@ def predict_class(params: Params, image: np.ndarray) -> int:
 
 def count_errors(params: Params, data, start: int, stop: int) -> int:
     """Number of examples ``start:stop`` of ``data`` whose predicted class
-    differs from the label. Pixels are taken ``BLOCK`` examples at a time,
-    so no float copy of the whole range is made."""
-    wrong = 0
-    for lo in range(start, stop, BLOCK):
-        hi = min(lo + BLOCK, stop)
-        images = data.floats(slice(lo, hi))
-        wrong += sum(predict_class(params, image) != int(label)
-                     for image, label in zip(images, data.labels[lo:hi]))
-    return wrong
+    differs from the label, classified one at a time."""
+    return sum(predict_class(params, data.floats(i)) != int(data.labels[i])
+               for i in range(start, stop))
+
+
+def split_error_rate(split, params: Params, data, helper, *args) -> float:
+    """The error rate of ``params`` on ``data`` over the processes of
+    ``split`` (``pool.helpers``): this process counts the first run, and
+    ``helper(*args, start, stop)`` the rest. Error counts are integers, so
+    the result is the same on any number of processes."""
+    end, futures = split(len(data), helper, *args)
+    wrong = count_errors(params, data, 0, end)
+    return (wrong + sum(future.result() for future in futures)) / len(data)
 
 
 def _helper_errors(start: int, stop: int) -> int:
@@ -446,21 +445,17 @@ def error_rate(params: Params, data) -> float:
     """Fraction of examples whose predicted class differs from the label.
 
     The examples are split over this process and its helpers
-    (``pool.helpers``). Error counts are integers, so the result is the
-    same on any number of processes. Forking and joining the helpers takes
-    about 30 ms in a 250 MB process, so on a few dozen images or fewer a
-    call is slower than on one core. An exception in a helper is raised
-    here with its own type, and a helper that dies raises
-    ``BrokenProcessPool``. Data that does not fit the model
-    (``check_dataset``) raises a ShapeError before any work.
+    (``split_error_rate``). Forking and joining the helpers takes about
+    30 ms in a 250 MB process, so on a few dozen images or fewer a call is
+    slower than on one core. An exception in a helper is raised here with
+    its own type, and a helper that dies raises ``BrokenProcessPool``.
+    Data that does not fit the model (``check_dataset``) raises a
+    ShapeError before any work.
     """
     check_dataset(params.config, data, "data")
-    n = len(data)
     # The helpers inherit params with the data, so no task pickles them:
     # the pool's feeder thread would do that in a malloc arena of its own,
     # which keeps the freed memory (2 MB of the depth-sweep benchmark's
     # peak resident set).
-    with helpers(n, data, params) as split:
-        end, futures = split(n, _helper_errors)
-        wrong = count_errors(params, data, 0, end)
-        return (wrong + sum(future.result() for future in futures)) / n
+    with helpers(len(data), data, params) as split:
+        return split_error_rate(split, params, data, _helper_errors)

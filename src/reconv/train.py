@@ -14,11 +14,12 @@ One ``train`` call uses every available core through ``pool.helpers``,
 whose helpers inherit (train_data, test_data). ``loss_and_grads``
 defines a minibatch's sum by fixed blocks of ``model.BLOCK`` examples:
 each block summed in example order, the block sums added in block
-order. So each minibatch is split on block edges, and the helpers return
-``model.block_sums``. Block edges do not depend on the number of
-processes, so records and parameters are bit for bit the same whatever
-the number of cores. Evaluations are split too, with ``params`` in every
-task, as they change every step, and add integer error counts.
+order. So each minibatch is split on block edges, and each helper
+returns ``loss_and_grads`` of each block of its run. Block edges do not
+depend on the number of processes, so records and parameters are bit
+for bit the same whatever the number of cores. Evaluations are split
+too, by ``model.split_error_rate``, with ``params`` in every task, as
+they change every step.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 
 from .data import Dataset, minibatches
 from .errors import NumericError, ShapeError
-from .model import (BLOCK, ArchConfig, Params, add_block_sums, block_sums,
-                    check_dataset, count_errors, init_params, loss_and_grads,
+from .model import (BLOCK, ArchConfig, Params, add_block_sums, check_dataset,
+                    count_errors, init_params, loss_and_grads, split_error_rate,
                     zeros_like_params)
 from .pool import helpers, shared
 from .table import csv_text
@@ -120,22 +121,17 @@ def _first_nonfinite(grads: Params) -> str:
 
 def _helper_blocks(params: Params, idx: np.ndarray, start: int,
                    stop: int) -> list[tuple[float, Params]]:
-    """``block_sums`` of training examples ``idx[start:stop]``, in a helper."""
+    """``loss_and_grads`` of each ``BLOCK`` of training examples
+    ``idx[start:stop]``, in a helper."""
     data = shared()[0]
-    own = idx[start:stop]
-    return list(block_sums(params, data.floats(own), data.labels[own]))
+    blocks = (idx[lo:min(lo + BLOCK, stop)] for lo in range(start, stop, BLOCK))
+    return [loss_and_grads(params, data.floats(b), data.labels[b]) for b in blocks]
 
 
 def _helper_errors(params: Params, which: int, start: int, stop: int) -> int:
     """``count_errors`` of examples ``start:stop`` of the training (0) or
     test (1) set, in a helper."""
     return count_errors(params, shared()[which], start, stop)
-
-
-def _error_rate(split, params: Params, data: Dataset, which: int) -> float:
-    end, futures = split(len(data), _helper_errors, params, which)
-    wrong = count_errors(params, data, 0, end)
-    return (wrong + sum(future.result() for future in futures)) / len(data)
 
 
 def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
@@ -157,7 +153,8 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
     state = TrainState.fresh(params)
     records: list[EpochRecord] = []
     n = len(train_data)
-    tasks = min(cfg.batch_size, n) if cfg.epochs else 1
+    # a minibatch has at most n examples, and an evaluation as many as its set
+    tasks = max(n, len(test_data)) if cfg.epochs else 1
 
     with helpers(tasks, train_data, test_data) as split:
         for epoch in range(cfg.epochs):
@@ -180,8 +177,10 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
             state.epochs_completed = epoch + 1
 
             evaluate = (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-            train_err = _error_rate(split, params, train_data, 0) if evaluate else math.nan
-            test_err = _error_rate(split, params, test_data, 1) if evaluate else math.nan
+            train_err = (split_error_rate(split, params, train_data, _helper_errors, params, 0)
+                         if evaluate else math.nan)
+            test_err = (split_error_rate(split, params, test_data, _helper_errors, params, 1)
+                        if evaluate else math.nan)
             records.append(EpochRecord(
                 epoch=epoch,
                 train_loss=epoch_loss / n,

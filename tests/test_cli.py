@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from reconv import ArchConfig, TrainConfig, metrics_csv, ops, train
+from reconv import ArchConfig, TrainConfig, cli, metrics_csv, ops, train
 from reconv.cli import DEFAULTS, build_parser, main
 from reconv.data import PIXELS_PER_IMAGE, load_raw, make_synthetic, save_raw
 
@@ -322,8 +322,6 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
                  ["train", "--dataset", "cifar10", *small],
                  ["train", "--dataset", "mnist", *small],
                  ["convert-check", "--format", "png"],
-                 ["train", *raw, "--n-train", "-1", *small],
-                 ["train", *raw, "--n-test", "-1", *small],
                  ["convert-check", "--images", str(empty), "--labels", str(empty),
                   "--n", "-1"],
                  ["experiment", "--m-list", "", *small], ["experiment", "--l-list", "", *small],
@@ -333,7 +331,12 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
         ("synth_test", ["train", *small, "--synth-test", "0"]),
         ("synth_train", ["experiment", "--m-list", "2", "--l-list", "1", *small,
                          "--synth-train", "0"]),
-        ("n", ["train", *small, "--synth-train", "-1"]),
+        ("synth_train", ["train", *small, "--synth-train", "-1"]),
+        ("synth_test", ["train", *small, "--synth-test", "-1"]),
+        ("synth_train", ["experiment", "--m-list", "2", "--l-list", "1", *small,
+                         "--synth-train", "-2"]),
+        ("n_train", ["train", *raw, "--n-train", "-1", *small]),
+        ("n_test", ["train", *raw, "--n-test", "-1", *small]),
         ("n_train", ["train", *raw, "--n-train", "0", "--n-test", "0", *small]),
         ("train_files", ["train", "--dataset", "cifar10", "--train-files", str(empty),
                          "--test-files", str(empty), *small]),
@@ -348,6 +351,18 @@ def test_invalid_value_is_config_error(tmp_path, capsys):
         assert "config" in err
         assert key is None or re.search(rf"\b{key}\b", err), (key, err)
         assert not (out / "manifest.txt").exists(), argv
+
+
+@pytest.mark.parametrize("key", ["synth_train", "synth_test"])
+def test_a_negative_synthetic_count_is_rejected_before_any_set_is_drawn(
+        monkeypatch, tmp_path, capsys, key):
+    def drawn(*args, **kwargs):
+        raise AssertionError("make_synthetic ran")
+
+    monkeypatch.setattr(cli, "make_synthetic", drawn)
+    flag = "--" + key.replace("_", "-")
+    assert run(["train", "--epochs", "1", flag, "-1", "--out", str(tmp_path / "o")]) == 3
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key,argv", [

@@ -285,6 +285,13 @@ def test_make_synthetic_rejects_a_negative_count():
     assert len(make_synthetic(0, seed=0)) == 0
 
 
+@pytest.mark.parametrize("name,value", [("num_classes", 0), ("num_classes", -2),
+                                        ("size", 0), ("size", -1)])
+def test_make_synthetic_rejects_a_class_count_or_size_below_one(name, value):
+    with pytest.raises(ValueError, match=rf"\b{name} must be >= 1, got {value}"):
+        make_synthetic(5, seed=0, **{name: value})
+
+
 def test_make_synthetic_balanced_labels():
     data = make_synthetic(30, seed=0)
     counts = np.bincount(data.labels, minlength=10)

@@ -6,7 +6,8 @@ from reconv import (ArchConfig, Dataset, ShapeError, error_rate, forward,
                     init_params, loss_and_grads, make_synthetic, nll,
                     predict_class, untie, zeros_like_params)
 from reconv import model, ops, pool
-from reconv.gradcheck import check_model_grads
+from reconv.counting import param_count
+from reconv.gradcheck import TIED_SUM_TOL, _check_point, check_model_grads
 from reconv.model import count_errors
 from test_ops import REFERENCE_OPS
 
@@ -394,10 +395,11 @@ def test_batch_loss_and_grads_sum_over_examples():
         npt.assert_allclose(a, b, rtol=1e-14, atol=1e-18)
 
 
-@pytest.mark.parametrize("n", [1, 16, 17, 40, 64])
+@pytest.mark.parametrize("n", [1, 16, 17, 40, 48, 64])
 def test_batch_sum_is_the_left_fold_of_its_blocks(n):
     # The contract train's helpers rely on: a batch cut on BLOCK edges,
-    # its parts summed apart and added in order, sums bit for bit as one.
+    # each piece's loss_and_grads added in order by add_block_sums, sums
+    # bit for bit as one.
     cfg = tiny_cfg(m=3, l=2)
     params = generic_params(cfg, seed=9)
     rng = np.random.default_rng(1)
@@ -407,15 +409,29 @@ def test_batch_sum_is_the_left_fold_of_its_blocks(n):
 
     block = model.BLOCK
     total, acc = loss_and_grads(params, images[:block], labels[:block])
-    for start in range(block, n, block):
-        loss_b, g_b = loss_and_grads(params, images[start:start + block],
-                                     labels[start:start + block])
-        total += loss_b
-        for (_, a), (_, g) in zip(acc.tensors(), g_b.tensors()):
-            a += g
+    total = model.add_block_sums(total, acc, (
+        loss_and_grads(params, images[lo:lo + block], labels[lo:lo + block])
+        for lo in range(block, n, block)))
     assert batch_loss == total
     for (name, a), (_, b) in zip(acc.tensors(), batch_grads.tensors()):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("channels,first,pool_size,hidden", [
+    (1, 5, 2, 5), (2, 4, 2, 4), (3, 3, 1, 1)])
+def test_every_architecture_extent_checks_and_counts(tied, channels, first, pool_size,
+                                                     hidden):
+    cfg = ArchConfig(feature_maps=3, layers=3, tied=tied, input_h=8, input_w=8,
+                     input_channels=channels, first_kernel=first, pool=pool_size,
+                     hidden_kernel=hidden, classes=4)
+    report = check_model_grads(cfg, seed=0)
+    assert report.passed, str(report)
+    if tied:
+        assert report.tied_sum_rel_err <= TIED_SUM_TOL
+    assert param_count(cfg) == init_params(cfg, 0).scalar_count()
+    params, image, _ = _check_point(cfg, 0)
+    assert predict_class(params, image) == int(np.argmax(forward(params, image).probs))
 
 
 def test_label_out_of_range_raises():

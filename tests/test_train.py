@@ -453,6 +453,18 @@ def test_train_evaluates_on_its_own_helpers_without_a_second_pool(monkeypatch):
     assert all(not math.isnan(r.test_error) for r in result.records)
 
 
+def test_batch_size_one_on_two_cores_evaluates_on_a_helper(monkeypatch):
+    # a minibatch of one example is one task, but each evaluated set is many
+    arch, data, test = small_arch(), make_synthetic(6, seed=0), make_synthetic(5, seed=1)
+    cfg = TrainConfig(epochs=2, batch_size=1, learning_rate=1e-4)
+    use_cores(monkeypatch, 1)
+    serial = train(arch, data, test, cfg, seed=0)
+    use_cores(monkeypatch, 2)
+    started = count_pools(monkeypatch)
+    assert train(arch, data, test, cfg, seed=0).records == serial.records
+    assert started == [1]
+
+
 def test_error_rate_in_a_pool_worker_forks_nothing(monkeypatch):
     use_cores(monkeypatch, 2)
     fork_pool = pool.fork_pool
