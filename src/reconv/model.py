@@ -348,6 +348,11 @@ def _as_batch(params: Params, images, labels) -> tuple[np.ndarray, np.ndarray]:
 BLOCK = 16
 
 
+def block_slices(start: int, stop: int) -> list[slice]:
+    """Examples ``start:stop`` cut ``BLOCK`` at a time from ``start``."""
+    return [slice(lo, min(lo + BLOCK, stop)) for lo in range(start, stop, BLOCK)]
+
+
 def add_block_sums(total: float, grads: Params, blocks) -> float:
     """Add (loss, gradients) block sums onto a running loss total,
     returned, and onto ``grads`` in place, block by block."""
@@ -363,9 +368,9 @@ def loss_and_grads(params: Params, images: np.ndarray,
     """Summed NLL loss and gradients for one example or a minibatch.
 
     ``images`` may be a single (H, W, C) image with an integer label or an
-    (N, H, W, C) stack with N labels. Each block of ``BLOCK`` consecutive
-    examples is summed in example order from zero, and the block sums are
-    added in block order from zero. A block sum from zero never holds
+    (N, H, W, C) stack with N labels. Each block (``block_slices``) is
+    summed in example order from zero, and the block sums are added in
+    block order from zero. A block sum from zero never holds
     -0.0, so adding it to zeros is exact: a batch cut on block edges sums
     bit for bit as one when ``add_block_sums`` adds, in order,
     ``loss_and_grads`` of its pieces, whatever computed them.
@@ -373,11 +378,11 @@ def loss_and_grads(params: Params, images: np.ndarray,
     images, labels = _as_batch(params, images, labels)
     grads = zeros_like_params(params)
     total = 0.0
-    for start in range(0, images.shape[0], BLOCK):
+    for s in block_slices(0, images.shape[0]):
         block = zeros_like_params(params)
         loss = 0.0
-        for i in range(start, min(start + BLOCK, images.shape[0])):
-            loss += _backward_into(params, forward(params, images[i]), int(labels[i]), block)
+        for image, label in zip(images[s], labels[s]):
+            loss += _backward_into(params, forward(params, image), int(label), block)
         total = add_block_sums(total, grads, [(loss, block)])
     return total, grads
 
@@ -424,12 +429,11 @@ def count_errors(params: Params, data, start: int, stop: int) -> int:
                for i in range(start, stop))
 
 
-def split_error_rate(split, params: Params, data, helper, *args) -> float:
-    """The error rate of ``params`` on ``data`` over the processes of
-    ``split`` (``pool.helpers``): this process counts the first run, and
-    ``helper(*args, start, stop)`` the rest. Error counts are integers, so
+def split_error_rate(params: Params, data, end: int, futures) -> float:
+    """The error rate of ``params`` on ``data`` split by ``pool.helpers``
+    at ``end``: this process counts examples ``0:end``, and ``futures``
+    hold the helpers' counts of the rest. Error counts are integers, so
     the result is the same on any number of processes."""
-    end, futures = split(len(data), helper, *args)
     wrong = count_errors(params, data, 0, end)
     return (wrong + sum(future.result() for future in futures)) / len(data)
 
@@ -445,9 +449,10 @@ def error_rate(params: Params, data) -> float:
     """Fraction of examples whose predicted class differs from the label.
 
     The examples are split over this process and its helpers
-    (``split_error_rate``). Forking and joining the helpers takes about
-    30 ms in a 250 MB process, so on a few dozen images or fewer a call is
-    slower than on one core. An exception in a helper is raised here with
+    (``pool.helpers``), and ``split_error_rate`` adds their counts.
+    Forking and joining the helpers takes about 30 ms in a 250 MB
+    process, so on a few dozen images or fewer a call is slower than on
+    one core. An exception in a helper is raised here with
     its own type, and a helper that dies raises ``BrokenProcessPool``.
     Data that does not fit the model (``check_dataset``) raises a
     ShapeError before any work.
@@ -458,4 +463,4 @@ def error_rate(params: Params, data) -> float:
     # which keeps the freed memory (2 MB of the depth-sweep benchmark's
     # peak resident set).
     with helpers(len(data), data, params) as split:
-        return split_error_rate(split, params, data, _helper_errors)
+        return split_error_rate(params, data, *split(len(data), _helper_errors))

@@ -18,8 +18,8 @@ order. So each minibatch is split on block edges, and each helper
 returns ``loss_and_grads`` of each block of its run. Block edges do not
 depend on the number of processes, so records and parameters are bit
 for bit the same whatever the number of cores. Evaluations are split
-too, by ``model.split_error_rate``, with ``params`` in every task, as
-they change every step.
+too, with ``params`` in every task, as they change every step, and
+``model.split_error_rate`` adds their integer error counts.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import numpy as np
 
 from .data import Dataset, minibatches
 from .errors import NumericError, ShapeError
-from .model import (BLOCK, ArchConfig, Params, add_block_sums, check_dataset,
-                    count_errors, init_params, loss_and_grads, split_error_rate,
-                    zeros_like_params)
+from .model import (BLOCK, ArchConfig, Params, add_block_sums, block_slices,
+                    check_dataset, count_errors, init_params, loss_and_grads,
+                    split_error_rate, zeros_like_params)
 from .pool import helpers, shared
 from .table import csv_text
 
@@ -121,11 +121,11 @@ def _first_nonfinite(grads: Params) -> str:
 
 def _helper_blocks(params: Params, idx: np.ndarray, start: int,
                    stop: int) -> list[tuple[float, Params]]:
-    """``loss_and_grads`` of each ``BLOCK`` of training examples
-    ``idx[start:stop]``, in a helper."""
+    """``loss_and_grads`` of each block (``block_slices``) of training
+    examples ``idx[start:stop]``, in a helper."""
     data = shared()[0]
-    blocks = (idx[lo:min(lo + BLOCK, stop)] for lo in range(start, stop, BLOCK))
-    return [loss_and_grads(params, data.floats(b), data.labels[b]) for b in blocks]
+    return [loss_and_grads(params, data.floats(idx[s]), data.labels[idx[s]])
+            for s in block_slices(start, stop)]
 
 
 def _helper_errors(params: Params, which: int, start: int, stop: int) -> int:
@@ -156,7 +156,8 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
     # a minibatch has at most n examples, and an evaluation as many as its set
     tasks = max(n, len(test_data)) if cfg.epochs else 1
 
-    with helpers(tasks, train_data, test_data) as split:
+    sets = (train_data, test_data)
+    with helpers(tasks, *sets) as split:
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             epoch_loss = 0.0
@@ -177,10 +178,9 @@ def train(arch: ArchConfig, train_data: Dataset, test_data: Dataset,
             state.epochs_completed = epoch + 1
 
             evaluate = (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-            train_err = (split_error_rate(split, params, train_data, _helper_errors, params, 0)
-                         if evaluate else math.nan)
-            test_err = (split_error_rate(split, params, test_data, _helper_errors, params, 1)
-                        if evaluate else math.nan)
+            train_err, test_err = (
+                split_error_rate(params, d, *split(len(d), _helper_errors, params, which))
+                if evaluate else math.nan for which, d in enumerate(sets))
             records.append(EpochRecord(
                 epoch=epoch,
                 train_loss=epoch_loss / n,

@@ -398,8 +398,9 @@ def test_batch_loss_and_grads_sum_over_examples():
 @pytest.mark.parametrize("n", [1, 16, 17, 40, 48, 64])
 def test_batch_sum_is_the_left_fold_of_its_blocks(n):
     # The contract train's helpers rely on: a batch cut on BLOCK edges,
-    # each piece's loss_and_grads added in order by add_block_sums, sums
-    # bit for bit as one.
+    # its parts summed apart and added in order, sums bit for bit as one,
+    # both by a hand fold and by add_block_sums over block_slices, as
+    # train adds its helpers' blocks.
     cfg = tiny_cfg(m=3, l=2)
     params = generic_params(cfg, seed=9)
     rng = np.random.default_rng(1)
@@ -409,12 +410,31 @@ def test_batch_sum_is_the_left_fold_of_its_blocks(n):
 
     block = model.BLOCK
     total, acc = loss_and_grads(params, images[:block], labels[:block])
-    total = model.add_block_sums(total, acc, (
-        loss_and_grads(params, images[lo:lo + block], labels[lo:lo + block])
-        for lo in range(block, n, block)))
+    for start in range(block, n, block):
+        loss_b, g_b = loss_and_grads(params, images[start:start + block],
+                                     labels[start:start + block])
+        total += loss_b
+        for (_, a), (_, g) in zip(acc.tensors(), g_b.tensors()):
+            a += g
     assert batch_loss == total
     for (name, a), (_, b) in zip(acc.tensors(), batch_grads.tensors()):
         assert np.array_equal(a, b), name
+
+    folded = zeros_like_params(params)
+    folded_loss = model.add_block_sums(0.0, folded, (
+        loss_and_grads(params, images[s], labels[s])
+        for s in model.block_slices(0, n)))
+    assert folded_loss == batch_loss
+    for (name, a), (_, b) in zip(folded.tensors(), batch_grads.tensors()):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("start,stop", [(0, 0), (0, 1), (0, 16), (3, 40), (32, 48)])
+def test_block_slices_cut_a_run_into_blocks_from_its_start(start, stop):
+    slices = list(model.block_slices(start, stop))
+    assert [i for s in slices for i in range(stop)[s]] == list(range(start, stop))
+    assert all(s.stop - s.start == model.BLOCK for s in slices[:-1])
+    assert all(0 < s.stop - s.start <= model.BLOCK for s in slices)
 
 
 @pytest.mark.parametrize("tied", [True, False])
