@@ -30,6 +30,25 @@ RECORD_BYTES = 3073          # 1 label byte + 32*32*3 pixel bytes
 PIXELS_PER_IMAGE = 3072
 
 
+def class_indices(labels) -> np.ndarray:
+    """``labels`` as int64 class indices. Whole numbers of any numeric
+    type are kept; any other value raises a ShapeError naming it, where a
+    cast would truncate it to a class without a word."""
+    values = np.asarray(labels)
+    if values.dtype.kind in "biu":
+        return values.astype(np.int64, copy=False)
+    whole = np.zeros(values.shape, dtype=bool)
+    if values.dtype.kind == "f":
+        whole = (np.isfinite(values) & (values == np.round(values))
+                 & (np.abs(values) < 2.0 ** 63))
+    elif values.dtype.kind == "O":  # mixed types, or ints beyond int64
+        whole = np.array([isinstance(v, (int, np.integer)) and -2 ** 63 <= v < 2 ** 63
+                          for v in values.flat], dtype=bool).reshape(values.shape)
+    if not whole.all():
+        raise ShapeError(f"label {values[~whole].tolist()[0]!r} is not an integer class index")
+    return values.astype(np.int64)
+
+
 class Dataset:
     """Labeled images: N images of (H, W, 3) pixels in [0, 1] and N class
     indices in [0, num_classes).
@@ -55,7 +74,7 @@ class Dataset:
 
     def _store(self, pixels: np.ndarray, labels, num_classes: int) -> None:
         self._pixels = pixels
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels = class_indices(labels)
         self.num_classes = num_classes
         if pixels.ndim != 4 or pixels.shape[3] != 3:
             raise ShapeError(f"images must be (N, H, W, 3), got {pixels.shape}")

@@ -31,6 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from . import ops
+from .data import class_indices
 from .errors import ShapeError
 from .pool import helpers, shared
 
@@ -270,13 +271,19 @@ def kink_signature(tape: Tape, start: int) -> bytes:
 
 def nll(params: Params, image: np.ndarray, label: int) -> float:
     """Negative log-likelihood of the true class for one example."""
-    _check_label(params.config, label)
+    label = _check_label(params.config, label)
     return float(forward(params, image).nll[label])
 
 
-def _check_label(cfg: ArchConfig, label: int) -> None:
-    if not 0 <= label < cfg.classes:
+def _check_label(cfg: ArchConfig, label) -> int:
+    """``label`` as an int; a ShapeError naming it unless it is one whole
+    number (``class_indices``) in [0, classes)."""
+    index = class_indices(label)
+    if index.ndim:
+        raise ShapeError(f"one image needs one label, got {label!r}")
+    if not 0 <= index < cfg.classes:
         raise ShapeError(f"label {label} outside [0, {cfg.classes})")
+    return int(index)
 
 
 def check_dataset(cfg: ArchConfig, data, name: str) -> None:
@@ -328,19 +335,16 @@ def _backward_into(params: Params, tape: Tape, label: int, grads: Params) -> flo
 
 
 def _as_batch(params: Params, images, labels) -> tuple[np.ndarray, np.ndarray]:
-    """(N, H, W, C) images and N labels from one example or a stack."""
+    """(N, H, W, C) images and N int64 labels from one example or a stack."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
-        images = images[None]
-        labels = np.asarray([labels], dtype=np.int64)
-    else:
-        labels = np.asarray(labels, dtype=np.int64)
-    if images.shape[0] != labels.shape[0]:
-        raise ShapeError(
-            f"{images.shape[0]} images but {labels.shape[0]} labels")
-    for label in labels:
-        _check_label(params.config, int(label))
-    return images, labels
+        return images[None], np.array([_check_label(params.config, labels)])
+    indices = class_indices(labels)
+    if indices.shape != images.shape[:1]:
+        raise ShapeError(f"{images.shape[0]} images need as many labels, got {labels!r}")
+    for label in indices:
+        _check_label(params.config, label)
+    return images, indices
 
 
 # Examples per block of loss_and_grads's gradient sum; fixed, so that

@@ -22,6 +22,26 @@ rows/columns before and 4 after, keeping a 32x32 input 32x32.
 Every convolution op is one patch matrix (``_im2col``) and one GEMM: the
 input adjoint is the forward correlation of the cotangent with the
 flipped, channel-swapped kernel and extent // 2 zeros before.
+
+On large maps each patch row serves two adjacent output columns
+(``_step``: at least 1024 output positions, an even width and at most 128
+output channels). The row is the kh x (kw + 1) window that covers both
+outputs, so a 32x32 map with an 8x8 kernel and 3 input channels unfolds
+to (512, 216) instead of (1024, 192). The kernel matrix is then two-tap
+block Toeplitz: (kh, kw + 1, Cin, 2, Cout) holding the kernel at column
+offsets 0 and 1 and zeros elsewhere, so the (H*W/2, 2*Cout) product is
+the (H, W, Cout) map by a plain reshape. The kernel gradient folds its
+(kh, kw + 1, Cin, 2, Cout) product back as d[:, :kw, :, 0] + d[:, 1:, :, 1].
+This does 1 + 1/kw times the arithmetic of one output per row (12.5%
+more at kw = 8, all of it products with the Toeplitz zeros) but copies
+(kw + 1) / (2 kw) of the patch data into a GEMM twice as wide, which is
+faster where the unfold's memory traffic and the narrow GEMM set the
+time. On smaller maps (the 8x8 hidden layers) the extra zeros cost more
+than they save, and above 128 channels the GEMM is wide enough already,
+so those maps keep one output per row, bit for bit the arithmetic of a
+plain im2col. Finite inputs give the same values either way up to
+rounding; an infinite input value, times a Toeplitz zero, makes NaN in
+the neighbouring output column of a paired map.
 """
 
 from __future__ import annotations
@@ -35,24 +55,55 @@ from .errors import ShapeError
 L2NORM_EPS = 1e-12
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, top: int, left: int) -> np.ndarray:
+def _step(h: int, w: int, channels: int) -> int:
+    """Output columns per patch row for an (h, w, channels) output map: 2
+    on maps of at least 1024 positions, an even width and at most 128
+    channels, else 1 (see the module docstring)."""
+    return 2 if h * w >= 1024 and w % 2 == 0 and channels <= 128 else 1
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, top: int, left: int,
+            step: int = 1) -> np.ndarray:
     """Zero-pad ``x`` to (H + kh - 1, W + kw - 1), ``top`` rows and ``left``
-    columns before, and unfold it into a (H*W, kh*kw*Cin) patch matrix.
+    columns before, and unfold it into a (H*W/step, kh*(kw+step-1)*Cin)
+    patch matrix, one row per ``step`` adjacent output columns.
 
     The windows are a strided view of the padded input with shape
-    (H, W, kh, kw*Cin): window (i, j) row u is the one contiguous run of
-    kw*Cin floats that starts at padded[i + u, j], so column
-    (u*kw + v)*Cin + c of patch row i*W + j holds padded[i + u, j + v, c].
-    The final reshape is the one copy of the windows; with a 1x1 kernel,
+    (H, W/step, kh, (kw+step-1)*Cin): window (i, j) row u is the one
+    contiguous run of (kw+step-1)*Cin floats that starts at
+    padded[i + u, step*j], so column (u*(kw+step-1) + v)*Cin + c of patch
+    row i*W/step + j holds padded[i + u, step*j + v, c]. The last window
+    ends at padded column W + kw - 2, inside the padding. The final
+    reshape is the one copy of the windows; with a 1x1 kernel and step 1,
     whose windows do not overlap, it copies nothing.
     """
     h, w, cin = x.shape
     padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.float64)
     padded[top:top + h, left:left + w] = x
     row, col, item = padded.strides
-    windows = np.ndarray((h, w, kh, kw * cin), np.float64, buffer=padded,
-                         strides=(row, col, row, item))
-    return windows.reshape(h * w, kh * kw * cin)
+    span = kw + step - 1
+    windows = np.ndarray((h, w // step, kh, span * cin), np.float64, buffer=padded,
+                         strides=(row, step * col, row, item))
+    return windows.reshape(h * w // step, kh * span * cin)
+
+
+def _kernel_matrix(kernels: np.ndarray, step: int) -> np.ndarray:
+    """The (kh*(kw+step-1)*Cin, step*Cout) matrix that maps ``_im2col``
+    rows of the same ``step`` to ``step`` adjacent outputs: the kernels
+    reshaped for step 1, the two-tap block Toeplitz matrix for step 2."""
+    kh, kw, cin, cout = kernels.shape
+    if step == 1:
+        return kernels.reshape(kh * kw * cin, cout)
+    toeplitz = np.zeros((kh, kw + 1, cin, 2, cout), dtype=np.float64)
+    toeplitz[:, :kw, :, 0] = kernels
+    toeplitz[:, 1:, :, 1] = kernels
+    return toeplitz.reshape(kh * (kw + 1) * cin, 2 * cout)
+
+
+def _rank_error(op: str, layouts: str, *arrays: np.ndarray) -> ShapeError:
+    """The ShapeError of ``op`` given arrays whose shapes do not fit ``layouts``."""
+    return ShapeError(
+        f"{op} expects {layouts} arrays, got {' and '.join(str(a.shape) for a in arrays)}")
 
 
 def conv2d_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -65,16 +116,15 @@ def conv2d_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     if x.ndim != 3 or kernels.ndim != 4:
-        raise ShapeError(
-            f"conv2d_same expects (H,W,Cin) input and (KH,KW,Cin,Cout) kernels, "
-            f"got {x.shape} and {kernels.shape}")
+        raise _rank_error("conv2d_same", "(H,W,Cin) and (KH,KW,Cin,Cout)", x, kernels)
     kh, kw, kcin, cout = kernels.shape
     h, w, cin = x.shape
     if kcin != cin:
         raise ShapeError(
             f"kernel expects {kcin} input channels, input has {cin}")
-    cols = _im2col(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2)
-    out = cols @ kernels.reshape(kh * kw * cin, cout)
+    step = _step(h, w, cout)
+    cols = _im2col(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2, step)
+    out = cols @ _kernel_matrix(kernels, step)
     return out.reshape(h, w, cout)
 
 
@@ -86,13 +136,17 @@ def conv2d_same_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndar
     the forward correlation with the flipped, channel-swapped kernel and
     (kh//2, kw//2) zeros before instead of ((kh-1)//2, (kw-1)//2).
     """
+    if grad_out.ndim != 3 or kernels.ndim != 4:
+        raise _rank_error("conv2d_same_input_grad", "(H,W,Cout) and (KH,KW,Cin,Cout)",
+                          grad_out, kernels)
     h, w, cout = grad_out.shape
     kh, kw, cin, kcout = kernels.shape
     if kcout != cout:
         raise ShapeError(
             f"kernel produces {kcout} output channels, cotangent has {cout}")
-    cols = _im2col(grad_out, kh, kw, kh // 2, kw // 2)
-    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
+    step = _step(h, w, cin)
+    cols = _im2col(grad_out, kh, kw, kh // 2, kw // 2, step)
+    flipped = _kernel_matrix(kernels[::-1, ::-1].transpose(0, 1, 3, 2), step)
     return (cols @ flipped).reshape(h, w, cin)
 
 
@@ -101,16 +155,25 @@ def conv2d_same_kernel_grad(
 ) -> np.ndarray:
     """Adjoint of conv2d_same with respect to the kernels: correlation of
     the (identically zero-padded) input with the output cotangent over all
-    positions."""
+    positions. With two output columns per patch row, tap (u, v) of output
+    column offset t sits at patch column v + t, so the two offsets' halves
+    of the product are added back onto the kernel."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or grad_out.ndim != 3:
+        raise _rank_error("conv2d_same_kernel_grad", "(H,W,Cin) and (H,W,Cout)", x, grad_out)
     kh, kw = kernel_extent
     h, w, cin = x.shape
     gh, gw, cout = grad_out.shape
     if (gh, gw) != (h, w):
         raise ShapeError(
             f"cotangent spatial extent {(gh, gw)} does not match input {(h, w)}")
-    cols = _im2col(np.asarray(x, dtype=np.float64), kh, kw, (kh - 1) // 2, (kw - 1) // 2)
-    dk = cols.T @ grad_out.reshape(h * w, cout)
-    return dk.reshape(kh, kw, cin, cout)
+    step = _step(h, w, cout)
+    cols = _im2col(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2, step)
+    dk = cols.T @ grad_out.reshape(h * w // step, step * cout)
+    if step == 1:
+        return dk.reshape(kh, kw, cin, cout)
+    dk = dk.reshape(kh, kw + 1, cin, 2, cout)
+    return dk[:, :kw, :, 0] + dk[:, 1:, :, 1]
 
 
 def maxpool(x: np.ndarray, size: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +187,8 @@ def maxpool(x: np.ndarray, size: int = 4) -> tuple[np.ndarray, np.ndarray]:
     The model pools ReLU outputs, which hold no -0.0 (np.maximum(-0.0,
     0.0) is +0.0), so it never meets that case.
     """
+    if x.ndim != 3:
+        raise _rank_error("maxpool", "(H,W,M)", x)
     h, w, m = x.shape
     if h % size or w % size:
         raise ShapeError(
@@ -138,6 +203,8 @@ def maxpool(x: np.ndarray, size: int = 4) -> tuple[np.ndarray, np.ndarray]:
 def maxpool_grad(grad_out: np.ndarray, argmax: np.ndarray, size: int = 4) -> np.ndarray:
     """Adjoint of maxpool: each cotangent routes entirely to the recorded
     argmax position; every other input position receives zero."""
+    if grad_out.ndim != 3 or argmax.shape != grad_out.shape:
+        raise _rank_error("maxpool_grad", "(H,W,M) and (H,W,M)", grad_out, argmax)
     hb, wb, m = grad_out.shape
     blocks = np.zeros((hb, wb, size * size, m), dtype=np.float64)
     blocks[np.arange(hb)[:, None, None], np.arange(wb)[:, None], argmax,

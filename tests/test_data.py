@@ -231,6 +231,24 @@ def test_dataset_validation():
             Dataset(np.zeros(shape), [0, 0])
 
 
+@pytest.mark.parametrize("labels,named", [
+    ([0.5, 1.9], "0.5"), ([1.0, np.nan], "nan"), ([np.inf, 1.0], "inf"),
+    ([1.0, 1e300], r"1e\+300"), (["1", "2"], "'1'"), ([1, None], "None"),
+    ([1, 2 ** 70], str(2 ** 70))])
+def test_dataset_rejects_labels_that_are_not_integers(labels, named):
+    with pytest.raises(ShapeError, match=f"label {named} is not an integer"):
+        Dataset(np.zeros((2, 4, 4, 3)), labels)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 9], [0.0, 9.0], np.array([0, 9], dtype=np.uint8),
+    np.array([0, 9], dtype=np.float32), np.array([0, 9], dtype=np.int16)])
+def test_dataset_keeps_integral_labels_of_any_numeric_type(labels):
+    data = Dataset(np.zeros((2, 4, 4, 3)), labels)
+    assert data.labels.dtype == np.int64
+    assert data.labels.tolist() == [0, 9]
+
+
 def test_minibatch_sizes_and_partition():
     data = make_synthetic(5, seed=0)
     batches = minibatches(data, 2, seed=0, epoch=0)

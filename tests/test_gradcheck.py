@@ -56,6 +56,15 @@ def test_model_gradients_pass(tied):
         assert report.tied_sum_rel_err is None
 
 
+def test_model_gradients_pass_on_32x32_maps():
+    # the stem convolution and its kernel gradient pair output columns here
+    cfg = ArchConfig(feature_maps=2, layers=1, tied=True)
+    assert ops._step(cfg.input_h, cfg.input_w, cfg.feature_maps) == 2
+    report = check_model_grads(cfg, seed=0)
+    assert report.passed
+    assert report.tied_sum_rel_err <= gradcheck.TIED_SUM_TOL
+
+
 def test_report_is_deterministic():
     cfg = ArchConfig(feature_maps=3, layers=2, tied=True, input_h=8, input_w=8)
     a = check_model_grads(cfg, seed=4)

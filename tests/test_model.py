@@ -277,6 +277,16 @@ def test_classification_pass_is_the_taped_pass(size, tied, layers):
         assert_classifies_as_forward(params, random_image(cfg, seed))
 
 
+@pytest.mark.parametrize("m", [4, 16, 57])
+def test_classification_pass_is_the_taped_pass_at_32x32_widths(m):
+    # the stem pairs output columns on 32x32 maps at these widths
+    cfg = tiny_cfg(m=m, l=2, tied=True, size=32)
+    params = generic_params(cfg, seed=m)
+    params.classifier *= 50.0  # probabilities far from uniform
+    for seed in range(3):
+        assert_classifies_as_forward(params, random_image(cfg, seed))
+
+
 def test_classification_pass_on_a_negative_zero_raw_maximum(monkeypatch):
     cfg = ArchConfig(feature_maps=4, layers=2, input_h=16, input_w=16)
     params = generic_params(cfg, seed=1)
@@ -468,6 +478,34 @@ def test_batch_count_mismatch_raises():
     params = init_params(cfg, seed=0)
     with pytest.raises(ShapeError):
         loss_and_grads(params, np.zeros((2, 8, 8, 3)), np.array([1]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p, image: loss_and_grads(p, image, 2.7), "label 2.7 is not an integer"),
+    (lambda p, image: loss_and_grads(p, np.stack([image, image]), [0.9, 1.2]),
+     "label 0.9 is not an integer"),
+    (lambda p, image: loss_and_grads(p, np.stack([image, image]), 3),
+     "2 images need as many labels, got 3"),
+    (lambda p, image: loss_and_grads(p, image, [3]), r"one image needs one label, got \[3\]"),
+    (lambda p, image: nll(p, image, 2.5), "label 2.5 is not an integer")],
+    ids=["float", "float-batch", "scalar-for-a-stack", "list-for-an-image", "nll-float"])
+def test_labels_that_are_not_one_integer_per_image_raise(call, message):
+    cfg = tiny_cfg()
+    with pytest.raises(ShapeError, match=message):
+        call(init_params(cfg, seed=0), random_image(cfg))
+
+
+@pytest.mark.parametrize("label", [2.0, np.uint8(2), np.float32(2.0), np.int16(2)])
+def test_integral_labels_of_any_numeric_type_are_that_class(label):
+    cfg = tiny_cfg()
+    params, image = generic_params(cfg), random_image(cfg)
+    loss, grads = loss_and_grads(params, image, label)
+    ref_loss, ref_grads = loss_and_grads(params, image, 2)
+    assert loss == ref_loss == nll(params, image, label)
+    for (name, g), (_, ref) in zip(grads.tensors(), ref_grads.tensors()):
+        assert np.array_equal(g, ref), name
+    batch_loss, _ = loss_and_grads(params, np.stack([image, image]), np.array([label, label]))
+    assert batch_loss == loss + loss
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ def conv2d_same_reference(x, kernels):
                 for v in range(kw):
                     ii, jj = i + u - oh, j + v - ow
                     if 0 <= ii < h and 0 <= jj < w:
-                        for ci in range(cin):
-                            out[i, j, :] += kernels[u, v, ci, :] * x[ii, jj, ci]
+                        out[i, j, :] += x[ii, jj, :] @ kernels[u, v]
     return out
 
 
@@ -97,11 +96,23 @@ def test_conv_channel_mismatch_raises():
 
 
 @pytest.mark.parametrize("op,args,message", [
-    (ops.conv2d_same, (np.zeros((4, 4)), np.zeros((3, 3, 1, 2))), "expects"),
+    (ops.conv2d_same, (np.zeros((4, 4)), np.zeros((3, 3, 1, 2))),
+     r"conv2d_same expects .* got \(4, 4\) and \(3, 3, 1, 2\)"),
     (ops.conv2d_same_input_grad, (np.zeros((4, 4, 3)), np.zeros((3, 3, 2, 5))),
      "5 output channels, cotangent has 3"),
     (ops.conv2d_same_kernel_grad, (np.zeros((4, 4, 2)), np.zeros((4, 5, 3)), (3, 3)),
-     "extent")], ids=["ndim", "channels", "extent"])
+     "extent"),
+    (ops.conv2d_same_input_grad, (np.zeros((4, 4)), np.zeros((3, 3, 2, 5))),
+     r"conv2d_same_input_grad expects .* got \(4, 4\) and \(3, 3, 2, 5\)"),
+    (ops.conv2d_same_kernel_grad, (np.zeros((4, 4, 2)), np.zeros((4, 4)), (3, 3)),
+     r"conv2d_same_kernel_grad expects .* got \(4, 4, 2\) and \(4, 4\)"),
+    (ops.maxpool, (np.zeros((8, 8)),), r"maxpool expects .* got \(8, 8\)"),
+    (ops.maxpool_grad, (np.zeros((2, 2)), np.zeros((2, 2, 1), dtype=np.int64)),
+     r"maxpool_grad expects .* got \(2, 2\) and \(2, 2, 1\)"),
+    (ops.maxpool_grad, (np.zeros((2, 2, 1)), np.zeros((2, 2, 3), dtype=np.int64)),
+     r"maxpool_grad expects .* got \(2, 2, 1\) and \(2, 2, 3\)")],
+    ids=["ndim", "channels", "extent", "input-grad-ndim", "kernel-grad-ndim",
+         "maxpool-ndim", "maxpool-grad-ndim", "maxpool-grad-argmax"])
 def test_conv_ops_reject_mismatched_shapes(op, args, message):
     with pytest.raises(ShapeError, match=message):
         op(*args)
@@ -150,6 +161,71 @@ def test_conv_adjoints_match_finite_differences():
     fd_k = finite_diff(lambda t: np.vdot(ops.conv2d_same(x, t), g), k.copy())
     npt.assert_allclose(ops.conv2d_same_kernel_grad(x, g, (3, 3)), fd_k,
                         rtol=1e-6, atol=1e-8)
+
+
+def one_tile_ops(x, k, g):
+    """The three convolution ops as plain im2col GEMMs, one output per
+    patch row: (forward, input adjoint, kernel adjoint)."""
+    h, w, cin = x.shape
+    kh, kw, _, cout = k.shape
+    cols = ops._im2col(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2)
+    flipped = k[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
+    return ((cols @ k.reshape(kh * kw * cin, cout)).reshape(h, w, cout),
+            (ops._im2col(g, kh, kw, kh // 2, kw // 2) @ flipped).reshape(h, w, cin),
+            (cols.T @ g.reshape(h * w, cout)).reshape(kh, kw, cin, cout))
+
+
+@pytest.mark.parametrize("h,w,channels,step", [
+    (32, 32, 128, 2), (32, 32, 129, 1), (32, 32, 1, 2), (16, 64, 8, 2),
+    (31, 32, 8, 1), (32, 33, 8, 1), (16, 16, 8, 1), (8, 8, 16, 1)])
+def test_two_output_columns_per_row_on_large_even_maps_of_few_channels(h, w, channels, step):
+    assert ops._step(h, w, channels) == step
+
+
+# 32x32 (kernel extent, Cin, Cout): the forward and kernel adjoint pair
+# output columns up to 128 output channels, the input adjoint up to 128
+# input channels; each op runs on both sides of that gate
+@pytest.mark.parametrize("k,cin,cout", [
+    (8, 3, 16), (8, 3, 129), (3, 128, 129), (3, 129, 128), (5, 4, 7), (5, 130, 131)])
+def test_conv_ops_on_32x32_maps_match_their_references(k, cin, cout):
+    rng = np.random.default_rng([k, cin, cout])
+    x = rng.standard_normal((32, 32, cin))
+    kernels = rng.standard_normal((k, k, cin, cout))
+    g = rng.standard_normal((32, 32, cout))
+    out = ops.conv2d_same(x, kernels)
+    npt.assert_allclose(out, conv2d_same_reference(x, kernels), rtol=1e-12, atol=1e-12)
+    dx = ops.conv2d_same_input_grad(g, kernels)
+    ref = conv2d_same_input_grad_scatter(g, kernels)
+    assert np.abs(dx - ref).max() <= 1e-14 * np.abs(ref).max()
+    dk = ops.conv2d_same_kernel_grad(x, g, (k, k))
+    ref = one_tile_ops(x, kernels, g)[2]
+    assert dk.shape == kernels.shape and dk.flags.c_contiguous
+    assert np.abs(dk - ref).max() <= 1e-14 * np.abs(ref).max()
+    lhs = np.vdot(out, g)
+    npt.assert_allclose(lhs, np.vdot(x, dx), rtol=1e-12)
+    npt.assert_allclose(lhs, np.vdot(kernels, dk), rtol=1e-12)
+
+
+@pytest.mark.parametrize("k,channels", [(8, 3), (3, 128), (5, 16), (3, 129)])
+def test_identity_kernel_on_32x32_maps_is_identity(k, channels):
+    x = np.random.default_rng([k, channels]).standard_normal((32, 32, channels))
+    assert np.array_equal(ops.conv2d_same(x, identity_kernel(k, channels)), x)
+
+
+# maps below the rule, and 32x32 maps that the channel gate or an odd
+# width keeps at one output per row: every op is the plain GEMM bit for bit
+@pytest.mark.parametrize("h,w,k,cin,cout", [
+    (8, 8, 8, 3, 16), (8, 8, 3, 16, 16), (8, 8, 3, 64, 64), (16, 16, 8, 3, 16),
+    (16, 16, 3, 32, 32), (32, 32, 3, 129, 130), (33, 33, 3, 4, 5)])
+def test_conv_ops_below_the_rule_are_the_one_tile_gemm(h, w, k, cin, cout):
+    rng = np.random.default_rng([h, w, k, cin, cout])
+    x = rng.standard_normal((h, w, cin))
+    kernels = rng.standard_normal((k, k, cin, cout))
+    g = rng.standard_normal((h, w, cout))
+    fwd, dx, dk = one_tile_ops(x, kernels, g)
+    assert np.array_equal(ops.conv2d_same(x, kernels), fwd)
+    assert np.array_equal(ops.conv2d_same_input_grad(g, kernels), dx)
+    assert np.array_equal(ops.conv2d_same_kernel_grad(x, g, (k, k)), dk)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +411,13 @@ def test_all_primitives_finite_on_finite_inputs():
 # and every result must match them bit for bit.
 
 
-def im2col_reference(x, kh, kw, top, left):
+def im2col_reference(x, kh, kw, top, left, step=1):
     h, w, cin = x.shape
     padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.float64)
     padded[top:top + h, left:left + w] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw, cin))
-    return windows.reshape(h * w, kh * kw * cin)
+    span = kw + step - 1
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, span, cin))[:, ::step]
+    return windows.reshape(h * w // step, kh * span * cin)
 
 
 def maxpool_reference(x, size=4):
@@ -401,12 +478,15 @@ REFERENCE_OPS = {
 @pytest.mark.parametrize("h,w", [(2, 2), (6, 4), (32, 32)])
 def test_im2col_bit_identical_to_sliding_window_view(kh, kw, cin, h, w):
     x = np.random.default_rng([kh, kw, cin, h, w]).standard_normal((h, w, cin))
-    # the forward's zeros before, then the input adjoint's
+    # the forward's zeros before, then the input adjoint's; one output
+    # column per patch row, then two
     for top, left in [((kh - 1) // 2, (kw - 1) // 2), (kh // 2, kw // 2)]:
-        cols = ops._im2col(x, kh, kw, top, left)
-        assert cols.shape == (h * w, kh * kw * cin)
-        assert cols.flags.c_contiguous
-        assert np.array_equal(cols, im2col_reference(x, kh, kw, top, left))
+        for step in (1, 2):
+            cols = ops._im2col(x, kh, kw, top, left, step)
+            assert cols.shape == (h * w // step, kh * (kw + step - 1) * cin)
+            # a map one window wide is its padded rows, which reshape to a view
+            assert cols.flags.c_contiguous or w == step
+            assert np.array_equal(cols, im2col_reference(x, kh, kw, top, left, step))
 
 
 @pytest.mark.parametrize("h,w,m,size", [(8, 8, 16, 4), (32, 32, 3, 4), (4, 6, 2, 2)])
