@@ -342,8 +342,9 @@ def _as_batch(params: Params, images, labels) -> tuple[np.ndarray, np.ndarray]:
     indices = class_indices(labels)
     if indices.shape != images.shape[:1]:
         raise ShapeError(f"{images.shape[0]} images need as many labels, got {labels!r}")
-    for label in indices:
-        _check_label(params.config, label)
+    outside = (indices < 0) | (indices >= params.config.classes)
+    if outside.any():
+        raise ShapeError(f"label {indices[outside][0]} outside [0, {params.config.classes})")
     return images, indices
 
 

@@ -23,25 +23,30 @@ Every convolution op is one patch matrix (``_im2col``) and one GEMM: the
 input adjoint is the forward correlation of the cotangent with the
 flipped, channel-swapped kernel and extent // 2 zeros before.
 
-On large maps each patch row serves two adjacent output columns
-(``_step``: at least 1024 output positions, an even width and at most 128
-output channels). The row is the kh x (kw + 1) window that covers both
-outputs, so a 32x32 map with an 8x8 kernel and 3 input channels unfolds
-to (512, 216) instead of (1024, 192). The kernel matrix is then two-tap
-block Toeplitz: (kh, kw + 1, Cin, 2, Cout) holding the kernel at column
-offsets 0 and 1 and zeros elsewhere, so the (H*W/2, 2*Cout) product is
-the (H, W, Cout) map by a plain reshape. The kernel gradient folds its
-(kh, kw + 1, Cin, 2, Cout) product back as d[:, :kw, :, 0] + d[:, 1:, :, 1].
-This does 1 + 1/kw times the arithmetic of one output per row (12.5%
-more at kw = 8, all of it products with the Toeplitz zeros) but copies
-(kw + 1) / (2 kw) of the patch data into a GEMM twice as wide, which is
-faster where the unfold's memory traffic and the narrow GEMM set the
-time. On smaller maps (the 8x8 hidden layers) the extra zeros cost more
-than they save, and above 128 channels the GEMM is wide enough already,
-so those maps keep one output per row, bit for bit the arithmetic of a
-plain im2col. Finite inputs give the same values either way up to
-rounding; an infinite input value, times a Toeplitz zero, makes NaN in
-the neighbouring output column of a paired map.
+The forward op and the kernel adjoint pair output columns where that was
+measured to pay (``_step``): on maps of at least 1024 positions and an
+even width, with kernels at least 8 wide and at most 128 output
+channels, each patch row serves two adjacent output columns. The row is
+the kh x (kw + 1) window that covers both outputs, so a 32x32 map with
+an 8x8 kernel and 3 input channels unfolds to (512, 216) instead of
+(1024, 192). The kernel matrix is then two-tap block Toeplitz: (kh,
+kw + 1, Cin, 2, Cout) holding the kernel at column offsets 0 and 1 and
+zeros elsewhere, so the (H*W/2, 2*Cout) product is the (H, W, Cout) map
+by a plain reshape. The kernel gradient folds its (kh, kw + 1, Cin, 2,
+Cout) product back as d[:, :kw, :, 0] + d[:, 1:, :, 1]. This does
+1 + 1/kw times the arithmetic of one output per row (12.5% more at
+kw = 8, all of it products with the Toeplitz zeros) but copies
+(kw + 1) / (2 kw) of the patch data into a GEMM twice as wide. On one
+thread that made the forward op plus the kernel gradient at 32x32 1.02x
+to 1.48x faster with 8-, 12- and 16-wide kernels up to 128 output
+channels, and 0.87x at 256 channels; narrower kernels lose from fewer
+channels on (0.97x at kw = 5 with 128, 0.91x at kw = 3 with 64, 0.59x
+to 0.73x at kw = 1), as does the 3x3 input adjoint (0.87x with 64). So
+in the model only the stem of a 32x32 or larger input pairs columns;
+every other op, the input adjoint always, runs one output per row, bit
+for bit the arithmetic of a plain im2col. Finite inputs give the same values either way up to rounding;
+an infinite input value, times a Toeplitz zero, makes NaN in the
+neighbouring output column of a paired map.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ from .errors import ShapeError
 L2NORM_EPS = 1e-12
 
 
-def _step(h: int, w: int, channels: int) -> int:
-    """Output columns per patch row for an (h, w, channels) output map: 2
-    on maps of at least 1024 positions, an even width and at most 128
-    channels, else 1 (see the module docstring)."""
-    return 2 if h * w >= 1024 and w % 2 == 0 and channels <= 128 else 1
+def _step(h: int, w: int, kw: int, channels: int) -> int:
+    """Output columns per patch row of the forward op and the kernel
+    adjoint for an (h, w, channels) output map and a kernel ``kw`` wide:
+    2 on maps of at least 1024 positions and an even width, with kw >= 8
+    and at most 128 channels, else 1 (see the module docstring)."""
+    return 2 if h * w >= 1024 and w % 2 == 0 and kw >= 8 and channels <= 128 else 1
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, top: int, left: int,
@@ -87,19 +93,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, top: int, left: int,
     return windows.reshape(h * w // step, kh * span * cin)
 
 
-def _kernel_matrix(kernels: np.ndarray, step: int) -> np.ndarray:
-    """The (kh*(kw+step-1)*Cin, step*Cout) matrix that maps ``_im2col``
-    rows of the same ``step`` to ``step`` adjacent outputs: the kernels
-    reshaped for step 1, the two-tap block Toeplitz matrix for step 2."""
-    kh, kw, cin, cout = kernels.shape
-    if step == 1:
-        return kernels.reshape(kh * kw * cin, cout)
-    toeplitz = np.zeros((kh, kw + 1, cin, 2, cout), dtype=np.float64)
-    toeplitz[:, :kw, :, 0] = kernels
-    toeplitz[:, 1:, :, 1] = kernels
-    return toeplitz.reshape(kh * (kw + 1) * cin, 2 * cout)
-
-
 def _rank_error(op: str, layouts: str, *arrays: np.ndarray) -> ShapeError:
     """The ShapeError of ``op`` given arrays whose shapes do not fit ``layouts``."""
     return ShapeError(
@@ -122,9 +115,15 @@ def conv2d_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if kcin != cin:
         raise ShapeError(
             f"kernel expects {kcin} input channels, input has {cin}")
-    step = _step(h, w, cout)
+    step = _step(h, w, kw, cout)
     cols = _im2col(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2, step)
-    out = cols @ _kernel_matrix(kernels, step)
+    if step == 1:
+        out = cols @ kernels.reshape(kh * kw * cin, cout)
+        return out.reshape(h, w, cout)
+    toeplitz = np.zeros((kh, kw + 1, cin, 2, cout), dtype=np.float64)
+    toeplitz[:, :kw, :, 0] = kernels
+    toeplitz[:, 1:, :, 1] = kernels
+    out = cols @ toeplitz.reshape(kh * (kw + 1) * cin, 2 * cout)
     return out.reshape(h, w, cout)
 
 
@@ -144,9 +143,8 @@ def conv2d_same_input_grad(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndar
     if kcout != cout:
         raise ShapeError(
             f"kernel produces {kcout} output channels, cotangent has {cout}")
-    step = _step(h, w, cin)
-    cols = _im2col(grad_out, kh, kw, kh // 2, kw // 2, step)
-    flipped = _kernel_matrix(kernels[::-1, ::-1].transpose(0, 1, 3, 2), step)
+    cols = _im2col(grad_out, kh, kw, kh // 2, kw // 2)
+    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
     return (cols @ flipped).reshape(h, w, cin)
 
 
@@ -167,7 +165,7 @@ def conv2d_same_kernel_grad(
     if (gh, gw) != (h, w):
         raise ShapeError(
             f"cotangent spatial extent {(gh, gw)} does not match input {(h, w)}")
-    step = _step(h, w, cout)
+    step = _step(h, w, kw, cout)
     cols = _im2col(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2, step)
     dk = cols.T @ grad_out.reshape(h * w // step, step * cout)
     if step == 1:

@@ -59,7 +59,7 @@ def test_model_gradients_pass(tied):
 def test_model_gradients_pass_on_32x32_maps():
     # the stem convolution and its kernel gradient pair output columns here
     cfg = ArchConfig(feature_maps=2, layers=1, tied=True)
-    assert ops._step(cfg.input_h, cfg.input_w, cfg.feature_maps) == 2
+    assert ops._step(cfg.input_h, cfg.input_w, cfg.first_kernel, cfg.feature_maps) == 2
     report = check_model_grads(cfg, seed=0)
     assert report.passed
     assert report.tied_sum_rel_err <= gradcheck.TIED_SUM_TOL

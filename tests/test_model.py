@@ -471,6 +471,9 @@ def test_label_out_of_range_raises():
         loss_and_grads(params, random_image(cfg), 10)
     with pytest.raises(ShapeError):
         nll(params, random_image(cfg), -1)
+    # a stack's error names its first label outside the classes
+    with pytest.raises(ShapeError, match=r"label 10 outside \[0, 10\)"):
+        loss_and_grads(params, np.zeros((3, 8, 8, 3)), np.array([1, 10, -1]))
 
 
 def test_batch_count_mismatch_raises():

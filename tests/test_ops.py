@@ -175,48 +175,54 @@ def one_tile_ops(x, k, g):
             (cols.T @ g.reshape(h * w, cout)).reshape(kh, kw, cin, cout))
 
 
-@pytest.mark.parametrize("h,w,channels,step", [
-    (32, 32, 128, 2), (32, 32, 129, 1), (32, 32, 1, 2), (16, 64, 8, 2),
-    (31, 32, 8, 1), (32, 33, 8, 1), (16, 16, 8, 1), (8, 8, 16, 1)])
-def test_two_output_columns_per_row_on_large_even_maps_of_few_channels(h, w, channels, step):
-    assert ops._step(h, w, channels) == step
+# (h, w, kernel width, output channels) -> output columns per patch row
+@pytest.mark.parametrize("h,w,kw,channels,step", [
+    (32, 32, 8, 128, 2), (32, 32, 8, 129, 1), (32, 32, 8, 1, 2), (16, 64, 8, 8, 2),
+    (32, 32, 16, 16, 2), (32, 32, 7, 16, 1), (32, 32, 3, 16, 1), (32, 32, 1, 16, 1),
+    (31, 32, 8, 8, 1), (32, 33, 8, 8, 1), (16, 16, 8, 8, 1), (8, 8, 8, 16, 1)])
+def test_two_output_columns_per_row_on_large_even_maps_with_wide_kernels(
+        h, w, kw, channels, step):
+    assert ops._step(h, w, kw, channels) == step
 
 
 # 32x32 (kernel extent, Cin, Cout): the forward and kernel adjoint pair
-# output columns up to 128 output channels, the input adjoint up to 128
-# input channels; each op runs on both sides of that gate
+# output columns up to 128 output channels and run on both sides of that
+# gate; the input adjoint is one output per row on every map
 @pytest.mark.parametrize("k,cin,cout", [
-    (8, 3, 16), (8, 3, 129), (3, 128, 129), (3, 129, 128), (5, 4, 7), (5, 130, 131)])
+    (8, 3, 16), (8, 3, 128), (8, 3, 129), (9, 4, 7), (3, 5, 6), (5, 4, 7)])
 def test_conv_ops_on_32x32_maps_match_their_references(k, cin, cout):
     rng = np.random.default_rng([k, cin, cout])
     x = rng.standard_normal((32, 32, cin))
     kernels = rng.standard_normal((k, k, cin, cout))
     g = rng.standard_normal((32, 32, cout))
+    one_tile = one_tile_ops(x, kernels, g)
     out = ops.conv2d_same(x, kernels)
     npt.assert_allclose(out, conv2d_same_reference(x, kernels), rtol=1e-12, atol=1e-12)
     dx = ops.conv2d_same_input_grad(g, kernels)
     ref = conv2d_same_input_grad_scatter(g, kernels)
     assert np.abs(dx - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(dx, one_tile[1])
     dk = ops.conv2d_same_kernel_grad(x, g, (k, k))
-    ref = one_tile_ops(x, kernels, g)[2]
     assert dk.shape == kernels.shape and dk.flags.c_contiguous
-    assert np.abs(dk - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(dk - one_tile[2]).max() <= 1e-14 * np.abs(one_tile[2]).max()
     lhs = np.vdot(out, g)
     npt.assert_allclose(lhs, np.vdot(x, dx), rtol=1e-12)
     npt.assert_allclose(lhs, np.vdot(kernels, dk), rtol=1e-12)
 
 
-@pytest.mark.parametrize("k,channels", [(8, 3), (3, 128), (5, 16), (3, 129)])
+@pytest.mark.parametrize("k,channels", [(8, 3), (8, 128), (9, 16)])
 def test_identity_kernel_on_32x32_maps_is_identity(k, channels):
     x = np.random.default_rng([k, channels]).standard_normal((32, 32, channels))
     assert np.array_equal(ops.conv2d_same(x, identity_kernel(k, channels)), x)
 
 
-# maps below the rule, and 32x32 maps that the channel gate or an odd
-# width keeps at one output per row: every op is the plain GEMM bit for bit
+# maps below the rule, and 32x32 maps that the channel gate, a kernel
+# narrower than 8 or an odd width keeps at one output per row: every op
+# is the plain GEMM bit for bit
 @pytest.mark.parametrize("h,w,k,cin,cout", [
     (8, 8, 8, 3, 16), (8, 8, 3, 16, 16), (8, 8, 3, 64, 64), (16, 16, 8, 3, 16),
-    (16, 16, 3, 32, 32), (32, 32, 3, 129, 130), (33, 33, 3, 4, 5)])
+    (16, 16, 3, 32, 32), (32, 32, 8, 3, 130), (32, 32, 3, 16, 16), (32, 32, 1, 8, 8),
+    (33, 33, 8, 4, 5)])
 def test_conv_ops_below_the_rule_are_the_one_tile_gemm(h, w, k, cin, cout):
     rng = np.random.default_rng([h, w, k, cin, cout])
     x = rng.standard_normal((h, w, cin))
